@@ -409,7 +409,16 @@ class UniLRUStack:
         self.prune()
 
     def forget(self, node: StackNode) -> None:
-        """Drop a node from the stack entirely."""
+        """Drop a node from the stack entirely.
+
+        Forgetting the coldest cached entry can expose ``L_out`` entries
+        at the stack bottom; they are pruned, as after every other
+        mutation that uncovers them.
+        """
+        self._drop(node)
+        self.prune()
+
+    def _drop(self, node: StackNode) -> None:
         self._level_unlink(node)
         if node.slot >= 0:
             if self._global.prev[node.slot] != UNLINKED:
@@ -440,7 +449,7 @@ class UniLRUStack:
                 raise ProtocolError("non-empty uniLRU stack has no tail")
             if node.level != out:
                 break
-            self.forget(node)
+            self._drop(node)
             removed += 1
         return removed
 
@@ -466,7 +475,7 @@ class UniLRUStack:
                 break
             node = node_at[slot]
             if node is not None and node.level == self.out_level:
-                self.forget(node)
+                self._drop(node)
 
     # -- diagnostics ----------------------------------------------------------
 

@@ -3,13 +3,13 @@
 Beyond the protocol-level comparisons, this drives the raw stack
 operations (insert, touch, demote, relocate, evict, forget) in random
 interleavings against a brute-force model of the documented semantics,
-checking order, level membership, yardsticks and pruning after every
-step.
+checking order, level membership, yardsticks, pruning and the stack's
+own structural invariants after every step.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.stack import UniLRUStack
@@ -65,6 +65,7 @@ class StackModel:
 
     def forget(self, block):
         self.entries = [(b, l) for b, l in self.entries if b != block]
+        self._prune()
 
 
 OPS = st.lists(
@@ -82,6 +83,13 @@ OPS = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(capacities=st.lists(st.integers(1, 3), min_size=1, max_size=3),
        ops=OPS)
+# Forgetting the coldest cached entry exposes an L_out entry (block 1)
+# at the stack bottom, which must be pruned.
+@example(
+    capacities=[1, 1],
+    ops=[("insert", 5, 1), ("insert", 1, 1), ("insert", 0, 1),
+         ("evict", 1, 1), ("forget", 5, 1), ("demote", 0, 1)],
+)
 def test_stack_primitives_match_model(capacities, ops):
     stack = UniLRUStack(capacities)
     model = StackModel(capacities)
@@ -117,6 +125,7 @@ def test_stack_primitives_match_model(capacities, ops):
                 stack.forget(node)
                 model.forget(block)
 
+        stack.check_invariants(enforce_capacity=False)
         assert stack.stack_blocks() == model.blocks()
         for lvl in range(1, n + 1):
             assert stack.level_blocks(lvl) == model.level_blocks(lvl)
