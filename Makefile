@@ -6,7 +6,7 @@
 PYTHON ?= python
 
 .PHONY: check check-shallow check-deep check-kernel check-bounds lint \
-	test bench bench-batched mrc-approx baseline hash-schema
+	test bench bench-batched mrc-approx perfbench-check baseline hash-schema
 
 check: lint check-shallow check-deep check-kernel check-bounds
 
@@ -48,6 +48,17 @@ mrc-approx:
 	$(PYTHON) -m pytest -q tests/analysis/test_mrc_approx.py
 	REPRO_BIG_TESTS=1 $(PYTHON) -m pytest -q \
 		tests/analysis/test_mrc_approx.py -k tentpole_gate
+
+# The end-to-end benchmark's correctness checks (CI's perfbench-check
+# job): its own tests, then one short run of each stream workload, which
+# checks scalar = batched = in-memory drive and the pinned seed-1 result
+# hashes and exits 1 when a check fails.
+perfbench-check:
+	$(PYTHON) -m pytest -q perfbench/tests
+	$(PYTHON) perfbench/run.py --workload stream-single --seed 1 \
+		--seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload stream-multi --seed 1 \
+		--seconds 1 --trace 0
 
 # Maintenance: regenerate the check-pass artefacts after reviewing
 # that the new findings / schema drift are intentional. The baseline

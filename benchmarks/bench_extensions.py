@@ -67,10 +67,10 @@ def bench_cooperative_caching(benchmark, scale):
 
 
 def bench_three_level_multi_client(benchmark, scale):
-    """ULC generalised to n levels with multiple clients (beyond the
-    paper's 2-level multi-client protocol): clients -> shared server
-    cache -> shared disk-array cache."""
-    from repro.hierarchy import ULCMultiLevelScheme
+    """Multi-client ULC over a chain of shared tiers (beyond the
+    paper's one shared server): clients -> shared server cache ->
+    shared disk-array cache."""
+    from repro.hierarchy import ULCMultiScheme
     from repro.sim import paper_three_level
     from repro.workloads import db2_like
 
@@ -90,7 +90,7 @@ def bench_three_level_multi_client(benchmark, scale):
         for scheme in (
             IndependentScheme([client_blocks, server_blocks, array_blocks],
                               clients),
-            ULCMultiLevelScheme(
+            ULCMultiScheme(
                 [client_blocks, server_blocks, array_blocks], clients
             ),
         ):

@@ -3,7 +3,8 @@
 - :mod:`repro.core.stack` — the uniLRUstack with yardsticks.
 - :mod:`repro.core.protocol` — the single-client, n-level ULC engine.
 - :mod:`repro.core.multi` — the multi-client protocol (shared gLRU
-  server, owner tags, delayed eviction notices).
+  server, owner tags, delayed eviction notices), over one shared
+  server or a chain of shared tiers.
 - :mod:`repro.core.measures` — the ND / R / NLD / LLD-R locality
   measures from Section 2.
 - :mod:`repro.core.events` — the protocol event types consumed by the
@@ -25,11 +26,6 @@ from repro.core.multi import (
     ULCMultiSystem,
     ULCServer,
 )
-from repro.core.multi_nlevel import (
-    ULCMultiLevelClient,
-    ULCMultiLevelSystem,
-    ULCSharedTier,
-)
 from repro.core.protocol import ULCClient
 from repro.core.stack import StackNode, UniLRUStack
 
@@ -39,9 +35,6 @@ __all__ = [
     "ULCClient",
     "ULCMultiClient",
     "ULCMultiSystem",
-    "ULCMultiLevelSystem",
-    "ULCMultiLevelClient",
-    "ULCSharedTier",
     "ULCServer",
     "NOTIFY_PIGGYBACK",
     "NOTIFY_IMMEDIATE",

@@ -22,12 +22,38 @@ Key mechanisms implemented here:
   server after another owner let it be evicted (only the owner is
   notified). Such a retrieve simply misses at the server and falls
   through to disk; the client's placement direction re-caches it.
+
+The same engine runs a *chain* of shared tiers (clients -> file-server
+cache -> disk-array cache): levels 2..n are shared, each an
+owner-tagged gLRU with its own notice queues. With one tier every rule
+below is the paper's protocol:
+
+- Placement: recency region ``j`` directs caching at level ``j``; the
+  fill rule tries levels top down, a shared tier counting as unfilled
+  while the client's own view of it is below the tier's full size.
+- Demotion: promoting a block into the client cache demotes ``Y_1``'s
+  block into tier 2 at its recency rank among the owner's blocks. An
+  overflowing tier demotes its gLRU bottom into the next tier (a
+  transfer down the chain, cascading); the bottom tier drops it.
+- Notices: every tier eviction queues a notice for the block's owner,
+  delivered before the owner's next reference, tier by tier. A live
+  notice moves the owner's view one level down (the tier demoted the
+  block into the next tier) or out of the hierarchy; which of the two
+  is read from the tiers at delivery. With one tier, a notice caused by
+  the owner's own request instead rides back on that request's
+  response: it is applied at once, is never lost and costs no message
+  even in ``immediate`` mode — which keeps a lone client's view of the
+  server identical to the gLRU at every step.
+- Stale views: a retrieve searches from the believed level down the
+  tiers, so a block demoted under another owner is found lower (or
+  misses to disk); the client's own direction repairs the state.
 """
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.events import AccessEvent, Demotion
 from repro.core.stack import UniLRUStack
@@ -243,30 +269,37 @@ class ULCServer:
 
 
 class ULCMultiClient:
-    """One client's two-level ULC engine inside a multi-client system.
+    """One client's ULC engine inside a multi-client system.
 
-    The client's level-2 view (its ``LRU_2`` stack) mirrors which of its
-    blocks it believes the server caches; the view shrinks on eviction
-    notices and grows when the client directs more blocks to the server
-    — the gLRU thereby allocates server buffers between clients
+    The client's view of each shared level (its ``LRU_j`` stack) mirrors
+    which of its blocks it believes that tier caches; a view shrinks on
+    eviction notices and grows when the client directs more blocks to
+    the tier — the gLRU thereby allocates tier buffers between clients
     dynamically.
+
+    ``server`` is the shared server, or the chain of shared tiers (top
+    first).
     """
 
     def __init__(
         self,
         client_id: int,
         capacity: int,
-        server: ULCServer,
+        server: Union[ULCServer, Sequence[ULCServer]],
         templru_capacity: int = 16,
         max_metadata: Optional[int] = None,
     ) -> None:
         self.client_id = client_id
-        self.server = server
-        # Level 2 capacity in the local stack is the full server size: the
-        # client's share can never exceed it, and the *actual* bound is
-        # enforced by gLRU evictions, not by a local cascade.
+        self.tiers = (
+            (server,) if isinstance(server, ULCServer) else tuple(server)
+        )
+        self.server = self.tiers[0]
+        # A shared level's capacity in the local stack is the tier's full
+        # size: the client's share can never exceed it, and the *actual*
+        # bound is enforced by gLRU evictions, not by a local cascade.
         self.stack = UniLRUStack(
-            [capacity, server.capacity], max_size=max_metadata
+            [capacity] + [tier.capacity for tier in self.tiers],
+            max_size=max_metadata,
         )
         self.capacity = capacity
         self._temp: Optional[LRUPolicy] = (
@@ -275,25 +308,33 @@ class ULCMultiClient:
         # Kernel-caller handles for the fused access path (the stack's
         # level lists; see the intlist kernel contract).
         self._l1 = self.stack._levels[0]
-        self._l2 = self.stack._levels[1]
+        self._levels = self.stack._levels
 
     # -- notices -------------------------------------------------------------
 
-    # repro: bound O(n) amortized -- each queued server notice is
+    # repro: bound O(n) amortized -- each queued tier notice is
     # generated by one eviction and delivered once
-    def apply_notices(self, blocks: Sequence[Block]) -> int:
-        """Apply server eviction notices; returns how many were live.
+    def apply_notices(self, blocks: Sequence[Block], level: int = 2) -> int:
+        """Apply eviction notices from the tier at ``level``; returns
+        how many were live.
 
-        A notice is stale when the client has since re-ranked the block
-        (e.g. promoted it to its own cache); stale notices are ignored.
+        A live notice moves the block's view one level down when the
+        tier demoted it into the next tier, and out of the hierarchy
+        otherwise. A notice is stale when the client has since re-ranked
+        the block (e.g. promoted it to its own cache); stale notices are
+        ignored.
         """
+        stack = self.stack
+        lookup = stack.lookup
+        lower = self.tiers[level - 1] if level < stack.num_levels else None
         applied = 0
-        lookup = self.stack.lookup
-        evict = self.stack.evict
         for block in blocks:
             node = lookup(block)
-            if node is not None and node.level == 2:
-                evict(node)
+            if node is not None and node.level == level:
+                if lower is not None and block in lower:
+                    stack.relocate(node, level + 1)
+                else:
+                    stack.evict(node)
                 applied += 1
         return applied
 
@@ -308,10 +349,10 @@ class ULCMultiClient:
         runs in one fused frame with positional event construction.
         """
         stack = self.stack
-        server = self.server
+        tiers = self.tiers
         temp = self._temp
         client_id = self.client_id
-        l1, l2 = self._l1, self._l2
+        l1 = self._l1
         node = stack._nodes.get(block)
         in_temp = temp is not None and block in temp
         out = stack.out_level
@@ -323,37 +364,42 @@ class ULCMultiClient:
             region = out
         else:
             level_status = node.level
-            # Inline recency_region for the two-level case: R_j is the
-            # first level whose yardstick (list tail) is at or below us.
-            node_at = stack._node_at
-            seq = node.seq
-            t1 = l1.prev[SENTINEL]
-            if t1 != SENTINEL and seq >= node_at[t1].seq:
-                region = 1
-            else:
-                t2 = l2.prev[SENTINEL]
-                if t2 != SENTINEL and seq >= node_at[t2].seq:
-                    region = 2
-                else:
-                    region = out
+            # Inline recency_region: R_j is the first level whose
+            # yardstick (list tail) is at or below us — level 1 for a
+            # level-1 block, by the yardstick construction.
+            region = 1
+            if level_status != 1:
+                node_at = stack._node_at
+                seq = node.seq
+                for lst in self._levels:
+                    tail = lst.prev[SENTINEL]
+                    if tail != SENTINEL and seq >= node_at[tail].seq:
+                        break
+                    region += 1
 
         # -- where is the block actually served from? ---------------------
+        hit_level: Optional[int] = None  # disk, unless a level holds it
         if in_temp or level_status == 1:
-            hit_level: Optional[int] = 1
-        elif level_status == 2 and block in server:
-            hit_level = 2
-        else:
-            hit_level = None  # disk (includes stale level-2 views)
+            hit_level = 1
+        elif level_status != out:
+            # A shared-level view may be stale (the block was demoted or
+            # evicted under another owner): search from there down.
+            for level in range(level_status, out):
+                if block in tiers[level - 2]:
+                    hit_level = level
+                    break
 
         # -- placement decision (the level tag on the Retrieve) ------------
         if region != out:
-            placed = region
-        elif l1.size < self.capacity:  # _fill_level, inlined
-            placed = 1
-        elif l2.size < server.capacity:
-            placed = 2
+            placed: Optional[int] = region
         else:
-            placed = None
+            # Fill rule: the first level this client's view of which is
+            # not full. A shared tier stays "unfilled" while our view of
+            # it is below its full size; the gLRU arbitrates the actual
+            # allocation between clients (dynamic partitioning). Caching
+            # on the fill path costs nothing extra: the block passes
+            # through the tiers on its way up anyway.
+            placed = stack.first_unfilled_level()
 
         # -- metadata update ------------------------------------------------
         if node is None:
@@ -361,29 +407,31 @@ class ULCMultiClient:
         else:
             stack.touch(node, placed if placed is not None else out)
 
-        # -- server-side effects of the Retrieve tag -----------------------
-        if placed == 2:
-            ev = server.want_cached(block, client_id)
-            if ev is not None:
-                self._handle_own_eviction(ev)
-        elif level_status == 2:
-            # The block leaves the server level per our direction.
-            server.release(block, client_id)
+        # -- shared-tier effects of the Retrieve tag -----------------------
+        if placed is not None and placed > 1:
+            eviction = tiers[placed - 2].want_cached(block, client_id)
+            if eviction is not None:
+                demotions = self._cascade(placed, eviction, demotions)
+        # A cached block's region never exceeds its level, so a shared
+        # block placed elsewhere moved up: it leaves its old tier per
+        # our direction.
+        if 1 < level_status < out and placed != level_status:
+            tiers[level_status - 2].release(block, client_id)
 
         # -- make room at the client cache ----------------------------------
         if placed == 1 and l1.size > self.capacity:
             victim = stack.demote_tail(1)
-            demotions = (Demotion(victim.block, 1, 2),)
             colder = stack.colder_neighbour(victim)
             warmer = stack.warmer_neighbour(victim)
-            ev = server.want_cached_demoted(
+            eviction = tiers[0].want_cached_demoted(
                 victim.block,
                 client_id,
                 colder.block if colder is not None else None,
                 warmer.block if warmer is not None else None,
             )
-            if ev is not None:
-                self._handle_own_eviction(ev)
+            demotions = (Demotion(victim.block, 1, 2),)
+            if eviction is not None:
+                demotions = self._cascade(2, eviction, demotions)
 
         event = AccessEvent(
             block, client_id, hit_level, in_temp, placed,
@@ -400,46 +448,41 @@ class ULCMultiClient:
                 temp.insert(block)
         return event
 
-    def _fill_level(self) -> Optional[int]:
-        """Placement for an L_out block: fill the client cache first,
-        then the server.
+    # repro: bound O(1) -- the cascade descends at most the configured
+    # number of shared tiers
+    def _cascade(
+        self,
+        level: int,
+        eviction: Optional[_Eviction],
+        demotions: Tuple[Demotion, ...],
+    ) -> Tuple[Demotion, ...]:
+        """Route an eviction from the tier at ``level`` down the chain.
 
-        The server level is "unfilled" from this client's perspective
-        while its *own view* of the server is below the full server size
-        — the client keeps directing blocks there and the gLRU arbitrates
-        the actual allocation between clients (dynamic partitioning).
-        With a single client this reduces exactly to the single-client
-        fill rule. Caching at the server on the fill path costs nothing
-        extra: the block passes through the server on its way up anyway.
+        The overflowing tier demotes its victim into the next tier —
+        which may overflow in turn — and the bottom tier drops it.
+        Returns ``demotions`` extended by the tier-to-tier transfers.
         """
-        if self.stack.level_size(1) < self.capacity:
-            return 1
-        if self.stack.level_size(2) < self.server.capacity:
-            return 2
-        return None
-
-    # repro: bound O(n) amortized -- drains notices queued since the
-    # last access; each notice is generated once and applied once
-    def _handle_own_eviction(self, eviction: _Eviction) -> None:
-        """When our own caching request evicts one of our *own* blocks,
-        the notice can be applied immediately — it rides back on the
-        response to the very request that caused it."""
-        if eviction.owner != self.client_id:
-            return
-        lookup = self.stack.lookup
-        evict = self.stack.evict
-        pending_notices = self.server.collect_notices(self.client_id)
-        for pending in pending_notices:
-            node = lookup(pending)
-            if node is not None and node.level == 2:
-                evict(node)
+        tiers = self.tiers
+        while eviction is not None:
+            victim, owner = eviction.block, eviction.owner
+            if level > len(tiers):  # fell out of the bottom tier
+                if len(tiers) == 1 and owner == self.client_id:
+                    # The one tier evicted one of our own blocks: the
+                    # notice rides back on this request's response.
+                    self.apply_notices(tiers[0].collect_notices(owner))
+                break
+            demotions += (Demotion(victim, level, level + 1),)
+            eviction = tiers[level - 1].want_cached_demoted(victim, owner)
+            level += 1
+        return demotions
 
     def check_invariants(self) -> None:
         """Validate stack invariants (tests).
 
-        The level-2 view is elastic: it may transiently exceed the
-        server capacity by the number of undelivered eviction notices
-        (stale entries), so capacity is checked for level 1 only.
+        The shared-level views are elastic: one may transiently exceed
+        its tier's capacity by the number of undelivered eviction
+        notices (stale entries), so capacity is checked for level 1
+        only.
         """
         self.stack.check_invariants(enforce_capacity=False)
         if self.stack.level_size(1) > self.capacity:
@@ -449,19 +492,22 @@ class ULCMultiClient:
 
 
 class ULCMultiSystem:
-    """A complete multi-client two-level ULC system.
+    """A complete multi-client ULC system.
 
-    Routes each reference to its client engine, delivering any pending
-    server eviction notices to that client first (the paper's delayed,
-    piggybacked notification), or immediately in ``immediate`` mode
-    (ablation: one extra control message per notice).
+    ``server_capacity`` is the size of the one shared server (the
+    paper's two-level system), or the sizes of a chain of shared tiers,
+    top first. Routes each reference to its client engine, delivering
+    any pending eviction notices to that client first (the paper's
+    delayed, piggybacked notification), or immediately in
+    ``immediate`` mode (ablation: one extra control message per
+    delivered notice).
     """
 
     def __init__(
         self,
         num_clients: int,
         client_capacity: int,
-        server_capacity: int,
+        server_capacity: Union[int, Sequence[int]],
         templru_capacity: int = 16,
         notify: str = NOTIFY_PIGGYBACK,
         max_metadata: Optional[int] = None,
@@ -470,26 +516,38 @@ class ULCMultiSystem:
     ) -> None:
         """``notice_loss_rate`` drops that fraction of eviction notices
         before delivery (fault injection): the protocol must stay
-        *correct* — a stale level-2 view only costs a server miss that
-        falls through to disk and is repaired by the client's own
+        *correct* — a stale shared-level view only costs a tier miss
+        that falls through and is repaired by the client's own
         re-direction (see ``tests/core/test_fault_injection.py``)."""
         check_int("num_clients", num_clients)
         check_positive("num_clients", num_clients)
         check_in("notify", notify, [NOTIFY_PIGGYBACK, NOTIFY_IMMEDIATE])
         check_fraction("notice_loss_rate", notice_loss_rate)
+        capacities = (
+            list(server_capacity)
+            if isinstance(server_capacity, Sequence)
+            else [server_capacity]
+        )
+        if not capacities:
+            raise ConfigurationError("at least one shared tier is required")
         self.notify = notify
         self.notice_loss_rate = notice_loss_rate
         self._loss_rng = (
             make_rng(notice_loss_seed) if notice_loss_rate > 0 else None
         )
         self._immediate = notify == NOTIFY_IMMEDIATE
-        self.server = ULCServer(server_capacity)
-        self._server_pending = self.server._pending
+        self.tiers = [ULCServer(capacity) for capacity in capacities]
+        self.server = self.tiers[0]
+        queues = [tier._pending for tier in self.tiers]
+        # ``client in self._owed`` iff some tier holds notices for it.
+        self._owed: Container[int] = (
+            queues[0] if len(queues) == 1 else ChainMap(*queues)
+        )
         self.clients = [
             ULCMultiClient(
                 client_id,
                 client_capacity,
-                self.server,
+                self.tiers,
                 templru_capacity=templru_capacity,
                 max_metadata=max_metadata,
             )
@@ -525,24 +583,29 @@ class ULCMultiSystem:
             )
         # Deliver pending notices only when there are any — draining an
         # empty queue per reference would allocate a list each time.
-        if client in self._server_pending:
+        if client in self._owed:
             return self._access_with_notices(client, block)
         return self._access_by_client[client](block)
 
     # repro: bound O(n) amortized -- delivers the notices queued for
     # this client; each notice is generated once and delivered once
     def _access_with_notices(self, client: int, block: Block) -> AccessEvent:
-        """Slow path: deliver queued eviction notices, then access."""
+        """Slow path: deliver queued eviction notices tier by tier, then
+        access."""
         engine = self._engines[client]
-        notices = self.server.collect_notices(client)
-        if self._loss_rng is not None and notices:
-            notices = [
-                n
-                for n in notices
-                if self._loss_rng.random() >= self.notice_loss_rate
-            ]
-        engine.apply_notices(notices)
-        messages = len(notices) if self._immediate else 0
+        loss_rng = self._loss_rng
+        messages = 0
+        for level, tier in enumerate(self.tiers, start=2):
+            notices = tier.collect_notices(client)
+            if loss_rng is not None and notices:
+                notices = [
+                    notice
+                    for notice in notices
+                    if loss_rng.random() >= self.notice_loss_rate
+                ]
+            if self._immediate:
+                messages += len(notices)
+            engine.apply_notices(notices, level)
         return engine.access(block, count_notice_messages=messages)
 
     def access_hit_run(  # repro: hot
@@ -561,7 +624,7 @@ class ULCMultiSystem:
         """
         handles = self._hit_run_handles
         num_clients = self._num_clients
-        pending = self._server_pending
+        pending = self._owed
         count = 0
         # Zero-copy lazy views, not .tolist(): the caller may probe a
         # large window that stops after a few references, and this
@@ -586,8 +649,11 @@ class ULCMultiSystem:
         return count
 
     def check_invariants(self) -> None:
-        """Validate every client's invariants plus server consistency."""
+        """Validate every client's invariants plus tier occupancy."""
         for engine in self.clients:
             engine.check_invariants()
-        if len(self.server) > self.server.capacity:
-            raise ProtocolError("server over capacity")
+        for level, tier in enumerate(self.tiers, start=2):
+            if len(tier) > tier.capacity:
+                raise ProtocolError(
+                    f"shared tier at level {level} over capacity"
+                )

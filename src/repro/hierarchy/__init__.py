@@ -14,7 +14,7 @@ from repro.hierarchy.mq_scheme import ClientLRUServerMQ
 from repro.hierarchy.oracle import AggregateLRUOracle, AggregateOPTOracle
 from repro.hierarchy.registry import available_schemes, make_scheme
 from repro.hierarchy.static_partition import ULCStaticPartitionScheme
-from repro.hierarchy.ulc import ULCMultiLevelScheme, ULCMultiScheme, ULCScheme
+from repro.hierarchy.ulc import ULCMultiScheme, ULCScheme
 from repro.hierarchy.unilru import (
     INSERT_ADAPTIVE,
     INSERT_LRU,
@@ -37,7 +37,6 @@ __all__ = [
     "ClientLRUServerMQ",
     "ULCScheme",
     "ULCMultiScheme",
-    "ULCMultiLevelScheme",
     "ULCStaticPartitionScheme",
     "AggregateLRUOracle",
     "AggregateOPTOracle",

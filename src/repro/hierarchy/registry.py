@@ -11,7 +11,7 @@ from repro.hierarchy.indlru import IndependentScheme
 from repro.hierarchy.mq_scheme import ClientLRUServerMQ
 from repro.hierarchy.oracle import AggregateLRUOracle
 from repro.hierarchy.static_partition import ULCStaticPartitionScheme
-from repro.hierarchy.ulc import ULCMultiLevelScheme, ULCMultiScheme, ULCScheme
+from repro.hierarchy.ulc import ULCMultiScheme, ULCScheme
 from repro.hierarchy.unilru import (
     INSERT_ADAPTIVE,
     INSERT_LRU,
@@ -44,7 +44,6 @@ _MULTI: Dict[str, SchemeFactory] = {  # repro: noqa SIM001 -- import-time litera
     ),
     "mq": ClientLRUServerMQ,
     "ulc": ULCMultiScheme,
-    "ulc-nlevel": ULCMultiLevelScheme,
     "ulc-static": ULCStaticPartitionScheme,
     "agglru": AggregateLRUOracle,
     "eviction-based": EvictionBasedScheme,

@@ -2,7 +2,8 @@
 
 :class:`ULCScheme` wraps the single-client n-level engine
 (:class:`repro.core.protocol.ULCClient`); :class:`ULCMultiScheme` wraps
-the two-level multi-client system (:class:`repro.core.multi.ULCMultiSystem`).
+the multi-client system over one or more shared tiers
+(:class:`repro.core.multi.ULCMultiSystem`).
 """
 
 from __future__ import annotations
@@ -66,48 +67,10 @@ class ULCScheme(MultiLevelScheme):
                 seen[resident] = level
 
 
-class ULCMultiLevelScheme(MultiLevelScheme):
-    """Multi-client ULC over n levels: a private client cache plus a
-    chain of shared tiers (e.g. clients -> file-server cache -> disk
-    array cache). Generalises :class:`ULCMultiScheme`; see
-    :mod:`repro.core.multi_nlevel`."""
-
-    name = "ULC-nlevel"
-
-    def __init__(
-        self,
-        capacities: Sequence[int],
-        num_clients: int = 1,
-        templru_capacity: int = 16,
-        max_metadata: Optional[int] = None,
-    ) -> None:
-        if len(capacities) < 2:
-            raise ConfigurationError(
-                "ULCMultiLevelScheme needs a client level and at least "
-                "one shared tier"
-            )
-        super().__init__(capacities, num_clients)
-        from repro.core.multi_nlevel import ULCMultiLevelSystem
-
-        self.system = ULCMultiLevelSystem(
-            num_clients=num_clients,
-            client_capacity=capacities[0],
-            shared_capacities=list(capacities[1:]),
-            templru_capacity=templru_capacity,
-            max_metadata=max_metadata,
-        )
-
-    def access(self, client: int, block: Block) -> AccessEvent:
-        self._check_client(client)
-        return self.system.access(client, block)
-
-    def check_invariants(self) -> None:
-        """Delegate to the n-level system's client/tier checks."""
-        self.system.check_invariants()
-
-
 class ULCMultiScheme(MultiLevelScheme):
-    """Multi-client ULC: per-client engines over a shared gLRU server.
+    """Multi-client ULC: per-client engines over a shared gLRU server,
+    or over a chain of shared tiers (``capacities[1:]``, e.g. clients ->
+    file-server cache -> disk-array cache).
 
     Registered as ``ulc`` in the multi-client registry; the display name
     is ``ULC-multi`` so its :attr:`RunResult.scheme` is distinguishable
@@ -126,15 +89,16 @@ class ULCMultiScheme(MultiLevelScheme):
         notice_loss_rate: float = 0.0,
         notice_loss_seed: int = 0,
     ) -> None:
-        if len(capacities) != 2:
+        if len(capacities) < 2:
             raise ConfigurationError(
-                "ULCMultiScheme models a two-level structure"
+                "ULCMultiScheme needs a client level and at least one "
+                "shared tier"
             )
         super().__init__(capacities, num_clients)
         self.system = ULCMultiSystem(
             num_clients=num_clients,
             client_capacity=capacities[0],
-            server_capacity=capacities[1],
+            server_capacity=self.capacities[1:],
             templru_capacity=templru_capacity,
             notify=notify,
             max_metadata=max_metadata,
@@ -160,7 +124,7 @@ class ULCMultiScheme(MultiLevelScheme):
         return self.system.access_hit_run(clients, blocks)
 
     def check_invariants(self) -> None:
-        """System checks plus per-client L1/L2-view exclusivity.
+        """System checks plus per-client level exclusivity.
 
         A client's stack assigns each tracked block exactly one level;
         this re-derives the property from the per-level lists so a
@@ -168,12 +132,13 @@ class ULCMultiScheme(MultiLevelScheme):
         """
         self.system.check_invariants()
         for engine in self.system.clients:
-            own = set(engine.stack.level_blocks(1))
-            view = set(engine.stack.level_blocks(2))
-            overlap = own & view
-            if overlap:
-                raise ProtocolError(
-                    f"client {engine.client_id}: blocks "
-                    f"{sorted(overlap)!r} in both its cache and its "
-                    f"server view"
-                )
+            seen: Dict[Block, int] = {}
+            for level in range(1, self.num_levels + 1):
+                for block in engine.stack.level_blocks(level):
+                    if block in seen:
+                        raise ProtocolError(
+                            f"client {engine.client_id}: block {block!r} "
+                            f"in both its level-{seen[block]} and "
+                            f"level-{level} views"
+                        )
+                    seen[block] = level

@@ -67,17 +67,14 @@ SMALL_TRACES = (
 
 def build(num_clients: int, scenario: str):
     """A fresh system for one scenario."""
-    from repro.core import ULCMultiLevelSystem, ULCMultiSystem
+    from repro.core import ULCMultiSystem
 
     _, client_capacity, tiers, options = next(
         entry for entry in SCENARIOS if entry[0] == scenario
     )
-    if len(tiers) == 1:
-        return ULCMultiSystem(
-            num_clients, client_capacity, tiers[0], **options
-        )
-    return ULCMultiLevelSystem(
-        num_clients, client_capacity, list(tiers), **options
+    server_capacity = tiers[0] if len(tiers) == 1 else list(tiers)
+    return ULCMultiSystem(
+        num_clients, client_capacity, server_capacity, **options
     )
 
 

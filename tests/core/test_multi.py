@@ -182,24 +182,10 @@ class TestMultiSystemBehaviour:
             ULCMultiSystem(1, 1, 1, notify="telepathy")
 
     def test_immediate_mode_counts_messages(self):
-        system = ULCMultiSystem(
-            2, client_capacity=1, server_capacity=1,
-            templru_capacity=0, notify=NOTIFY_IMMEDIATE,
-        )
-        system.access(0, 1)
-        system.access(0, 2)   # server full with client 0's block
-        system.access(1, 10)
-        system.access(1, 11)  # evicts client 0's block -> notice queued
-        event = system.access(0, 1)
-        assert event.control_messages >= 1
+        assert_immediate_mode_counts_messages(server_capacity=1)
 
     def test_piggyback_mode_no_message_cost(self):
-        system = ULCMultiSystem(
-            2, client_capacity=1, server_capacity=1, templru_capacity=0,
-        )
-        for client, block in [(0, 1), (0, 2), (1, 10), (1, 11), (0, 1)]:
-            event = system.access(client, block)
-            assert event.control_messages == 0
+        assert_piggyback_mode_no_message_cost(server_capacity=1)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -236,6 +222,40 @@ class TestMultiSystemBehaviour:
                 system.server.share_of(0) + system.server.share_of(1)
                 == len(system.server)
             )
+
+
+def assert_immediate_mode_counts_messages(server_capacity):
+    system = ULCMultiSystem(
+        2, client_capacity=1, server_capacity=server_capacity,
+        templru_capacity=0, notify=NOTIFY_IMMEDIATE,
+    )
+    system.access(0, 1)
+    system.access(0, 2)   # server full with client 0's block
+    system.access(1, 10)
+    system.access(1, 11)  # evicts client 0's block -> notice queued
+    event = system.access(0, 1)
+    assert event.control_messages >= 1
+
+
+def assert_piggyback_mode_no_message_cost(server_capacity):
+    system = ULCMultiSystem(
+        2, client_capacity=1, server_capacity=server_capacity,
+        templru_capacity=0,
+    )
+    for client, block in [(0, 1), (0, 2), (1, 10), (1, 11), (0, 1)]:
+        event = system.access(client, block)
+        assert event.control_messages == 0
+
+
+class TestNoticeModesOverTwoTiers:
+    """Over a chain of two tiers the evicted block is demoted into the
+    second tier: its owner's level-change notice is a message too."""
+
+    def test_immediate_mode_counts_messages(self):
+        assert_immediate_mode_counts_messages(server_capacity=[1, 1])
+
+    def test_piggyback_mode_no_message_cost(self):
+        assert_piggyback_mode_no_message_cost(server_capacity=[1, 1])
 
 
 class TestSingleClientEquivalence:

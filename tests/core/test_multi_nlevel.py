@@ -1,4 +1,4 @@
-"""Tests for the n-level multi-client ULC generalisation."""
+"""Tests for multi-client ULC over a chain of shared tiers."""
 
 from __future__ import annotations
 
@@ -6,30 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ULCMultiLevelSystem, ULCMultiSystem
+from repro.core import ULCMultiSystem
 from repro.errors import ConfigurationError
-from repro.hierarchy import ULCMultiLevelScheme
+from repro.hierarchy import ULCMultiScheme
 
 
 class TestConstruction:
     def test_needs_shared_tier(self):
         with pytest.raises(ConfigurationError):
-            ULCMultiLevelSystem(1, client_capacity=2, shared_capacities=[])
+            ULCMultiSystem(1, client_capacity=2, server_capacity=[])
 
     def test_scheme_validation(self):
         with pytest.raises(ConfigurationError):
-            ULCMultiLevelScheme([4])
+            ULCMultiScheme([4])
 
     def test_client_range(self):
-        system = ULCMultiLevelSystem(1, 2, [2])
+        system = ULCMultiSystem(1, 2, [2])
         with pytest.raises(ConfigurationError):
             system.access(1, "x")
 
 
 class TestBasicFlow:
     def test_fill_goes_top_down(self):
-        system = ULCMultiLevelSystem(
-            1, client_capacity=1, shared_capacities=[1, 1],
+        system = ULCMultiSystem(
+            1, client_capacity=1, server_capacity=[1, 1],
             templru_capacity=0,
         )
         events = [system.access(0, b) for b in [1, 2, 3]]
@@ -38,8 +38,8 @@ class TestBasicFlow:
         assert 3 in system.tiers[1]
 
     def test_hit_levels(self):
-        system = ULCMultiLevelSystem(
-            1, client_capacity=1, shared_capacities=[1, 1],
+        system = ULCMultiSystem(
+            1, client_capacity=1, server_capacity=[1, 1],
             templru_capacity=0,
         )
         for block in [1, 2, 3]:
@@ -52,8 +52,8 @@ class TestBasicFlow:
     def test_tier_overflow_demotes_downwards(self):
         """A shared tier pushing out a block demotes it to the next tier
         (a SAN transfer), not to oblivion."""
-        system = ULCMultiLevelSystem(
-            2, client_capacity=1, shared_capacities=[1, 2],
+        system = ULCMultiSystem(
+            2, client_capacity=1, server_capacity=[1, 2],
             templru_capacity=0,
         )
         system.access(0, 10)   # client 0 cache
@@ -68,8 +68,8 @@ class TestBasicFlow:
     def test_owner_view_follows_tier_demotion(self):
         """The owner learns (lazily) that its block moved a tier down
         and serves it from there next time."""
-        system = ULCMultiLevelSystem(
-            2, client_capacity=1, shared_capacities=[1, 4],
+        system = ULCMultiSystem(
+            2, client_capacity=1, server_capacity=[1, 4],
             templru_capacity=0,
         )
         system.access(0, 10)
@@ -81,8 +81,8 @@ class TestBasicFlow:
         system.check_invariants()
 
     def test_bottom_tier_eviction_drops(self):
-        system = ULCMultiLevelSystem(
-            1, client_capacity=1, shared_capacities=[1, 1],
+        system = ULCMultiSystem(
+            1, client_capacity=1, server_capacity=[1, 1],
             templru_capacity=0,
         )
         for block in [1, 2, 3, 4]:
@@ -98,34 +98,6 @@ class TestBasicFlow:
         system.check_invariants()
 
 
-class TestEquivalenceWithTwoLevel:
-    @pytest.mark.parametrize("templru", [0, 16])
-    @settings(max_examples=25, deadline=None)
-    @given(
-        refs=st.lists(
-            st.tuples(st.integers(0, 1), st.integers(0, 12)), max_size=150
-        )
-    )
-    def test_single_shared_tier_matches_two_level_protocol(
-        self, templru, refs
-    ):
-        """With exactly one shared tier the n-level system reduces to
-        the paper's 2-level protocol: every event field agrees (hits,
-        tempLRU service, placements, demotions, control messages)."""
-        nlevel = ULCMultiLevelSystem(
-            2, client_capacity=2, shared_capacities=[4],
-            templru_capacity=templru,
-        )
-        two = ULCMultiSystem(
-            2, client_capacity=2, server_capacity=4,
-            templru_capacity=templru,
-        )
-        for client, block in refs:
-            assert nlevel.access(client, block) == two.access(client, block)
-        nlevel.check_invariants()
-        two.check_invariants()
-
-
 class TestThreeLevelStress:
     @settings(max_examples=15, deadline=None)
     @given(
@@ -136,8 +108,8 @@ class TestThreeLevelStress:
         )
     )
     def test_property_invariants(self, refs):
-        system = ULCMultiLevelSystem(
-            4, client_capacity=2, shared_capacities=[4, 8],
+        system = ULCMultiSystem(
+            4, client_capacity=2, server_capacity=[4, 8],
             templru_capacity=0,
         )
         for client, block in refs:
@@ -152,7 +124,7 @@ class TestThreeLevelStress:
         from repro.workloads import db2_like
 
         trace = db2_like(scale=1 / 1024, num_refs=20000)
-        scheme = ULCMultiLevelScheme(
+        scheme = ULCMultiScheme(
             [32, 128, 256], num_clients=trace.num_clients
         )
         result = run_simulation(scheme, trace, paper_three_level())

@@ -20,20 +20,27 @@ def test_every_single_client_scheme_builds_and_runs(name):
     assert 0 <= result.total_hit_rate <= 1
 
 
+def multi_client_levels(name):
+    """Multi-client ULC runs over one server and over two shared tiers."""
+    return [[8, 16], [8, 16, 24]] if name == "ulc" else [[8, 16]]
+
+
 @pytest.mark.parametrize("name", available_schemes(multi_client=True))
 def test_every_multi_client_scheme_builds_and_runs(name):
-    levels = [8, 16, 24] if name == "ulc-nlevel" else [8, 16]
-    scheme = make_scheme(name, levels, num_clients=3)
     trace = zipf_trace(60, 2000, seed=2)
     # Round-robin the three clients over the stream.
     from repro.workloads import Trace
 
     clients = [i % 3 for i in range(len(trace))]
     trace = Trace(trace.blocks, clients, trace.info)
-    costs = paper_two_level() if len(levels) == 2 else paper_three_level()
-    result = run_simulation(scheme, trace, costs)
-    assert result.references > 0
-    assert result.num_clients == 3
+    for levels in multi_client_levels(name):
+        scheme = make_scheme(name, levels, num_clients=3)
+        costs = (
+            paper_two_level() if len(levels) == 2 else paper_three_level()
+        )
+        result = run_simulation(scheme, trace, costs)
+        assert result.references > 0
+        assert result.num_clients == 3
 
 
 def test_display_names_unique_within_each_registry():
@@ -44,8 +51,7 @@ def test_display_names_unique_within_each_registry():
         names = {}
         for key in available_schemes(multi_client=multi_client):
             if multi_client:
-                levels = [8, 16, 24] if key == "ulc-nlevel" else [8, 16]
-                scheme = make_scheme(key, levels, num_clients=3)
+                scheme = make_scheme(key, [8, 16], num_clients=3)
             else:
                 levels = [8, 16] if key == "eviction-based" else [8, 16, 24]
                 scheme = make_scheme(key, levels)
@@ -69,5 +75,7 @@ def test_registries_expose_expected_names():
     assert {"indlru", "unilru", "ulc", "agglru", "eviction-based"} <= single
     assert {
         "indlru", "unilru", "unilru-lru", "unilru-adaptive", "mq", "ulc",
-        "ulc-nlevel", "ulc-static", "eviction-based",
+        "ulc-static", "eviction-based",
     } <= multi
+    # One multi-client ULC key serves every number of shared tiers.
+    assert "ulc-nlevel" not in multi

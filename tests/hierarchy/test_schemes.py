@@ -216,9 +216,11 @@ class TestULCSchemes:
         with pytest.raises(ConfigurationError):
             ULCScheme([1, 2], num_clients=2)
 
-    def test_multi_rejects_three_levels(self):
+    def test_multi_needs_a_shared_tier(self):
         with pytest.raises(ConfigurationError):
-            ULCMultiScheme([1, 1, 1])
+            ULCMultiScheme([1])
+        # Any chain of shared tiers below the client cache is accepted.
+        assert len(ULCMultiScheme([1, 1, 1]).system.tiers) == 2
 
 
 class TestOracles:

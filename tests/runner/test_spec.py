@@ -108,11 +108,14 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("name", available_schemes(multi_client=True))
     def test_multi_client_registry_rebuilds(self, name):
-        levels = (8, 16, 24) if name == "ulc-nlevel" else (8, 16)
-        spec = small_spec(scheme=name, capacities=levels, num_clients=3)
-        scheme = spec.build_scheme()
-        assert isinstance(scheme, MultiLevelScheme)
-        assert scheme.num_clients == 3
+        # Multi-client ULC: one shared server and two shared tiers.
+        shapes = [(8, 16), (8, 16, 24)] if name == "ulc" else [(8, 16)]
+        for levels in shapes:
+            spec = small_spec(scheme=name, capacities=levels, num_clients=3)
+            scheme = spec.build_scheme()
+            assert isinstance(scheme, MultiLevelScheme)
+            assert scheme.num_clients == 3
+            assert tuple(scheme.capacities) == levels
 
     def test_build_trace_and_costs(self):
         spec = small_spec()

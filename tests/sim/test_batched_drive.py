@@ -24,8 +24,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hierarchy import (
+    AggregateLRUOracle,
     IndependentScheme,
-    ULCMultiLevelScheme,
     ULCMultiScheme,
     ULCScheme,
     UnifiedLRUScheme,
@@ -101,12 +101,35 @@ def test_unbatchable_scheme_falls_back_to_scalar():
     """A scheme without ``supports_batch`` ignores ``batch_size``."""
     trace = zipf_trace(num_blocks=256, num_refs=2000, seed=4)
     costs = paper_three_level()
-    assert not getattr(ULCMultiLevelScheme, "supports_batch", False)
-    scalar = Engine(ULCMultiLevelScheme([32, 64, 128], 1), costs).drive(trace)
-    batched = Engine(ULCMultiLevelScheme([32, 64, 128], 1), costs).drive(
+    assert not AggregateLRUOracle.supports_batch
+    scalar = Engine(AggregateLRUOracle([32, 64, 128]), costs).drive(trace)
+    batched = Engine(AggregateLRUOracle([32, 64, 128]), costs).drive(
         trace, batch_size=64
     )
     assert result_hash(batched) == result_hash(scalar)
+
+
+@pytest.mark.parametrize("batch_size", [1, 13, 256, 4096])
+def test_multi_tier_ulc_scalar_batched_and_streamed_agree(batch_size):
+    """Multi-client ULC over a chain of shared tiers keeps the batch
+    contract: scalar, batched and streamed drives agree to the hash."""
+    blocks = zipf_trace(num_blocks=128, num_refs=3000, seed=4).blocks
+    trace = Trace(blocks, clients=[i % 4 for i in range(len(blocks))])
+    costs = paper_three_level()
+
+    def drive(**options):
+        return Engine(ULCMultiScheme([32, 64, 128], 4), costs).drive(
+            trace, **options
+        )
+
+    scalar = drive()
+    batched = drive(batch_size=batch_size)
+    streamed = Engine(
+        ULCMultiScheme([32, 64, 128], 4), costs
+    ).drive_stream(trace, batch_size=batch_size, chunk_size=700)
+    assert result_hash(batched) == result_hash(scalar)
+    assert result_hash(streamed) == result_hash(scalar)
+    assert batched.per_client == streamed.per_client == scalar.per_client
 
 
 def test_warmup_boundary_inside_a_hit_run():

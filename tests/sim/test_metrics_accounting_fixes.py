@@ -35,6 +35,14 @@ MESSAGE_COSTS = CostModel(
     message_time=0.2,
 )
 
+#: The same prices over a chain of two shared tiers.
+MESSAGE_COSTS_3 = CostModel(
+    hit_times=[0.0, 1.0, 1.2],
+    miss_time=11.2,
+    demotion_times=[1.0, 0.2],
+    message_time=0.2,
+)
+
 
 def _collector_with_traffic() -> MetricsCollector:
     metrics = MetricsCollector(num_levels=2, num_clients=1)
@@ -72,26 +80,12 @@ class TestMessageTimeComponent:
         assert summary["t_message_ms"] == pytest.approx(0.2)
 
     def test_run_simulation_decomposition_with_messages(self):
-        from repro.workloads.multiclient import make_multi_workload
+        assert_decomposition_with_messages([32, 128], MESSAGE_COSTS)
 
-        # Control messages are counted in the immediate-notification
-        # mode of the multi-client ULC system (the E8b ablation).
-        trace = make_multi_workload("httpd", scale=0.02, num_refs=2000)
-        result = run_simulation(
-            make_scheme(
-                "ulc", [32, 128], trace.num_clients, notify="immediate"
-            ),
-            trace,
-            MESSAGE_COSTS,
-            0.1,
-        )
-        assert result.t_message_ms > 0.0
-        assert result.t_ave_ms == (
-            result.t_hit_ms
-            + result.t_miss_ms
-            + result.t_demotion_ms
-            + result.t_message_ms
-        )
+    def test_run_simulation_decomposition_with_messages_over_two_tiers(
+        self,
+    ):
+        assert_decomposition_with_messages([32, 64, 128], MESSAGE_COSTS_3)
 
     def test_comparable_and_csv_carry_the_field(self, tmp_path):
         trace = zipf_trace(100, 800, seed=6)
@@ -107,6 +101,27 @@ class TestMessageTimeComponent:
     def test_runresult_default_is_zero(self):
         # Deserialization of documents predating the field stays valid.
         assert RunResult.__dataclass_fields__["t_message_ms"].default == 0.0
+
+
+def assert_decomposition_with_messages(levels, costs):
+    from repro.workloads.multiclient import make_multi_workload
+
+    # Control messages are counted in the immediate-notification mode of
+    # the multi-client ULC system (the E8b ablation).
+    trace = make_multi_workload("httpd", scale=0.02, num_refs=2000)
+    result = run_simulation(
+        make_scheme("ulc", levels, trace.num_clients, notify="immediate"),
+        trace,
+        costs,
+        0.1,
+    )
+    assert result.t_message_ms > 0.0
+    assert result.t_ave_ms == (
+        result.t_hit_ms
+        + result.t_miss_ms
+        + result.t_demotion_ms
+        + result.t_message_ms
+    )
 
 
 class TestClientIdValidation:

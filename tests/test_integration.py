@@ -86,15 +86,21 @@ class TestMultiClientPipeline:
         for name in available_schemes(multi_client=True):
             if name in ("agglru",):
                 continue
-            levels = (
-                [16, 64, 128] if name == "ulc-nlevel" else [16, 64]
+            # Multi-client ULC: one shared server and two shared tiers.
+            shapes = (
+                [[16, 64], [16, 64, 128]] if name == "ulc" else [[16, 64]]
             )
-            scheme = make_scheme(name, levels, num_clients=trace.num_clients)
-            costs = (
-                paper_three_level() if len(levels) == 3 else paper_two_level()
-            )
-            result = run_simulation(scheme, trace, costs)
-            assert 0 <= result.total_hit_rate <= 1, name
+            for levels in shapes:
+                scheme = make_scheme(
+                    name, levels, num_clients=trace.num_clients
+                )
+                costs = (
+                    paper_three_level()
+                    if len(levels) == 3
+                    else paper_two_level()
+                )
+                result = run_simulation(scheme, trace, costs)
+                assert 0 <= result.total_hit_rate <= 1, name
 
     def test_per_client_extras_present(self, trace):
         scheme = make_scheme("ulc", [16, 64], num_clients=trace.num_clients)
