@@ -365,26 +365,31 @@ class ULCMultiClient:
         else:
             level_status = node.level
             # Inline recency_region: R_j is the first level whose
-            # yardstick (list tail) is at or below us — level 1 for a
-            # level-1 block, by the yardstick construction.
+            # yardstick (list tail) is at or below us. A cached block's
+            # own level always qualifies, so only the levels above it
+            # are searched.
+            levels = self._levels
+            node_at = stack._node_at
+            seq = node.seq
             region = 1
-            if level_status != 1:
-                node_at = stack._node_at
-                seq = node.seq
-                for lst in self._levels:
-                    tail = lst.prev[SENTINEL]
-                    if tail != SENTINEL and seq >= node_at[tail].seq:
-                        break
-                    region += 1
+            while region < level_status:
+                tail = levels[region - 1].prev[SENTINEL]
+                if tail != SENTINEL and seq >= node_at[tail].seq:
+                    break
+                region += 1
 
         # -- where is the block actually served from? ---------------------
-        hit_level: Optional[int] = None  # disk, unless a level holds it
         if in_temp or level_status == 1:
-            hit_level = 1
-        elif level_status != out:
-            # A shared-level view may be stale (the block was demoted or
-            # evicted under another owner): search from there down.
-            for level in range(level_status, out):
+            hit_level: Optional[int] = 1
+        elif level_status == out:
+            hit_level = None  # disk
+        elif block in tiers[level_status - 2]:
+            hit_level = level_status
+        else:
+            # A stale view (the block was demoted or evicted under
+            # another owner): search the tiers below, then disk.
+            hit_level = None
+            for level in range(level_status + 1, out):
                 if block in tiers[level - 2]:
                     hit_level = level
                     break
@@ -407,16 +412,19 @@ class ULCMultiClient:
         else:
             stack.touch(node, placed if placed is not None else out)
 
-        # -- shared-tier effects of the Retrieve tag -----------------------
-        if placed is not None and placed > 1:
+        # -- effects of the Retrieve tag -----------------------------------
+        # A cached block's region never exceeds its level, so a shared
+        # block placed above its level leaves its old tier per our
+        # direction (after any caching at the new one).
+        if placed == 1:
+            if 1 < level_status < out:
+                tiers[level_status - 2].release(block, client_id)
+        elif placed is not None:
             eviction = tiers[placed - 2].want_cached(block, client_id)
             if eviction is not None:
                 demotions = self._cascade(placed, eviction, demotions)
-        # A cached block's region never exceeds its level, so a shared
-        # block placed elsewhere moved up: it leaves its old tier per
-        # our direction.
-        if 1 < level_status < out and placed != level_status:
-            tiers[level_status - 2].release(block, client_id)
+            if placed < level_status < out:
+                tiers[level_status - 2].release(block, client_id)
 
         # -- make room at the client cache ----------------------------------
         if placed == 1 and l1.size > self.capacity:
