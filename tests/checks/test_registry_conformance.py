@@ -58,11 +58,20 @@ def test_single_client_scheme_conforms(entry):
     assert hits > 0
 
 
-@pytest.mark.parametrize("entry", sorted(scheme_items(multi_client=True)))
-def test_multi_client_scheme_conforms(entry):
+#: Every multi-client entry over one shared server, plus multi-client ULC
+#: over two shared tiers under the id of ``ulc-nlevel``, the key the
+#: n-tier engine had before it became ``ulc``.
+MULTI_CLIENT_CASES = [
+    pytest.param(entry, [8, 16], id=entry)
+    for entry in sorted(scheme_items(multi_client=True))
+] + [pytest.param("ulc", [8, 16, 24], id="ulc-nlevel")]
+
+
+@pytest.mark.parametrize(("entry", "levels"), MULTI_CLIENT_CASES)
+def test_multi_client_scheme_conforms(entry, levels):
     num_clients = 2
     scheme = InvariantCheckedScheme(
-        scheme_items(multi_client=True)[entry]([8, 16], num_clients),
+        scheme_items(multi_client=True)[entry](levels, num_clients),
         every=1,
     )
     hits = 0

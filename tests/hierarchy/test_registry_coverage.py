@@ -20,27 +20,28 @@ def test_every_single_client_scheme_builds_and_runs(name):
     assert 0 <= result.total_hit_rate <= 1
 
 
-def multi_client_levels(name):
-    """Multi-client ULC runs over one server and over two shared tiers."""
-    return [[8, 16], [8, 16, 24]] if name == "ulc" else [[8, 16]]
+#: Every multi-client key over one shared server, plus multi-client ULC
+#: over two shared tiers under the id of ``ulc-nlevel``, the key the
+#: n-tier engine had before it became ``ulc``.
+MULTI_CLIENT_CASES = [
+    pytest.param(name, [8, 16], id=name)
+    for name in available_schemes(multi_client=True)
+] + [pytest.param("ulc", [8, 16, 24], id="ulc-nlevel")]
 
 
-@pytest.mark.parametrize("name", available_schemes(multi_client=True))
-def test_every_multi_client_scheme_builds_and_runs(name):
+@pytest.mark.parametrize(("name", "levels"), MULTI_CLIENT_CASES)
+def test_every_multi_client_scheme_builds_and_runs(name, levels):
+    scheme = make_scheme(name, levels, num_clients=3)
     trace = zipf_trace(60, 2000, seed=2)
     # Round-robin the three clients over the stream.
     from repro.workloads import Trace
 
     clients = [i % 3 for i in range(len(trace))]
     trace = Trace(trace.blocks, clients, trace.info)
-    for levels in multi_client_levels(name):
-        scheme = make_scheme(name, levels, num_clients=3)
-        costs = (
-            paper_two_level() if len(levels) == 2 else paper_three_level()
-        )
-        result = run_simulation(scheme, trace, costs)
-        assert result.references > 0
-        assert result.num_clients == 3
+    costs = paper_two_level() if len(levels) == 2 else paper_three_level()
+    result = run_simulation(scheme, trace, costs)
+    assert result.references > 0
+    assert result.num_clients == 3
 
 
 def test_display_names_unique_within_each_registry():

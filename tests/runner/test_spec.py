@@ -106,16 +106,22 @@ class TestReconstruction:
         assert isinstance(scheme, MultiLevelScheme)
         assert tuple(scheme.capacities) == levels
 
-    @pytest.mark.parametrize("name", available_schemes(multi_client=True))
-    def test_multi_client_registry_rebuilds(self, name):
-        # Multi-client ULC: one shared server and two shared tiers.
-        shapes = [(8, 16), (8, 16, 24)] if name == "ulc" else [(8, 16)]
-        for levels in shapes:
-            spec = small_spec(scheme=name, capacities=levels, num_clients=3)
-            scheme = spec.build_scheme()
-            assert isinstance(scheme, MultiLevelScheme)
-            assert scheme.num_clients == 3
-            assert tuple(scheme.capacities) == levels
+    # Multi-client ULC over two shared tiers runs under the id of
+    # ``ulc-nlevel``, the key the n-tier engine had before it became ``ulc``.
+    @pytest.mark.parametrize(
+        ("name", "levels"),
+        [
+            pytest.param(name, (8, 16), id=name)
+            for name in available_schemes(multi_client=True)
+        ]
+        + [pytest.param("ulc", (8, 16, 24), id="ulc-nlevel")],
+    )
+    def test_multi_client_registry_rebuilds(self, name, levels):
+        spec = small_spec(scheme=name, capacities=levels, num_clients=3)
+        scheme = spec.build_scheme()
+        assert isinstance(scheme, MultiLevelScheme)
+        assert scheme.num_clients == 3
+        assert tuple(scheme.capacities) == levels
 
     def test_build_trace_and_costs(self):
         spec = small_spec()

@@ -29,30 +29,34 @@ class TestWorkloadDeterminism:
 
 
 class TestSchemeDeterminism:
+    # Multi-client ULC over two shared tiers runs under the id of
+    # ``ulc-nlevel``, the key the n-tier engine had before it became ``ulc``.
     @pytest.mark.parametrize(
-        "name", ["indlru", "unilru", "unilru-adaptive", "mq", "ulc",
-                 "eviction-based"]
+        ("name", "levels"),
+        [
+            pytest.param(name, [16, 64], id=name)
+            for name in ["indlru", "unilru", "unilru-adaptive", "mq", "ulc"]
+        ]
+        + [
+            pytest.param("ulc", [16, 64, 128], id="ulc-nlevel"),
+            pytest.param("eviction-based", [16, 64], id="eviction-based"),
+        ],
     )
-    def test_multi_client_schemes_replay_identically(self, name):
+    def test_multi_client_schemes_replay_identically(self, name, levels):
         trace = make_multi_workload("db2", scale=1 / 1024, num_refs=6000)
-        # Multi-client ULC: one shared server and two shared tiers.
-        shapes = [[16, 64], [16, 64, 128]] if name == "ulc" else [[16, 64]]
-        for levels in shapes:
-            results = []
-            for _ in range(2):
-                scheme = make_scheme(
-                    name, levels, num_clients=trace.num_clients
-                )
-                if len(levels) == 3:
-                    from repro.sim import paper_three_level
+        results = []
+        for _ in range(2):
+            scheme = make_scheme(name, levels, num_clients=trace.num_clients)
+            if len(levels) == 3:
+                from repro.sim import paper_three_level
 
-                    costs = paper_three_level()
-                else:
-                    costs = paper_two_level()
-                results.append(run_simulation(scheme, trace, costs))
-            assert results[0].t_ave_ms == results[1].t_ave_ms
-            assert results[0].level_hit_rates == results[1].level_hit_rates
-            assert results[0].demotion_rates == results[1].demotion_rates
+                costs = paper_three_level()
+            else:
+                costs = paper_two_level()
+            results.append(run_simulation(scheme, trace, costs))
+        assert results[0].t_ave_ms == results[1].t_ave_ms
+        assert results[0].level_hit_rates == results[1].level_hit_rates
+        assert results[0].demotion_rates == results[1].demotion_rates
 
 
 class TestExperimentDeterminism:
