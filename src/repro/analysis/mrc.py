@@ -160,31 +160,6 @@ def stack_distances(blocks: Sequence[int]) -> StackDistanceProfile:
     )
 
 
-def stack_distances_reference(blocks: Sequence[int]) -> List[int]:
-    """O(n^2)-ish reference implementation over the
-    :class:`~repro.util.ostree.OrderStatisticTree` (tests only).
-
-    Entries are keyed by last-access time; the stack distance of a
-    re-reference is the number of entries at or after the block's own
-    (``len - rank``). Returns plain ints, :data:`COLD_DISTANCE` for
-    first references.
-    """
-    from repro.util.ostree import OrderStatisticTree
-
-    tree = OrderStatisticTree()
-    handles: Dict[int, object] = {}
-    out: List[int] = []
-    for t, block in enumerate(blocks):
-        handle = handles.get(block)
-        if handle is None:
-            out.append(int(COLD_DISTANCE))
-        else:
-            out.append(len(tree) - tree.rank(handle))
-            tree.remove(handle)
-        handles[block] = tree.insert(t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Miss-ratio curves
 # ---------------------------------------------------------------------------

@@ -83,9 +83,8 @@ def validate_structure(obj: object) -> None:
     """Validate a support container or scheme, whichever ``obj`` is.
 
     Dispatches to the object's own ``check_invariants`` method — schemes,
-    :class:`~repro.core.stack.UniLRUStack`,
-    :class:`~repro.util.fenwick.FenwickTree` and
-    :class:`~repro.util.ostree.OrderStatisticTree` all provide one.
+    :class:`~repro.core.stack.UniLRUStack` and
+    :class:`~repro.util.fenwick.FenwickTree` all provide one.
     """
     checker = getattr(obj, "check_invariants", None)
     if checker is None:

@@ -5,7 +5,8 @@ lists B1/B2 steering an adaptation parameter ``p``. It is contemporary
 with the ULC paper and serves as an additional single-level baseline in
 the extension benchmarks.
 
-Lists (all LRU-ordered, MRU at the head):
+Lists (all LRU-ordered; each is an ``OrderedDict`` whose first key is
+the LRU end and last key the MRU end):
 
 - T1: resident, seen exactly once recently.
 - T2: resident, seen at least twice recently.
@@ -17,13 +18,11 @@ Invariant: ``len(T1) + len(T2) <= capacity`` and
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.linkedlist import DoublyLinkedList, ListNode
-
-_T1, _T2, _B1, _B2 = "T1", "T2", "B1", "B2"
 
 
 class ARCPolicy(ReplacementPolicy):
@@ -33,147 +32,133 @@ class ARCPolicy(ReplacementPolicy):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._lists: Dict[str, DoublyLinkedList[Block]] = {
-            name: DoublyLinkedList() for name in (_T1, _T2, _B1, _B2)
-        }
-        # block -> (list name, node)
-        self._where: Dict[Block, Tuple[str, ListNode[Block]]] = {}
+        self._t1: "OrderedDict[Block, None]" = OrderedDict()
+        self._t2: "OrderedDict[Block, None]" = OrderedDict()
+        self._b1: "OrderedDict[Block, None]" = OrderedDict()
+        self._b2: "OrderedDict[Block, None]" = OrderedDict()
         self._p = 0.0  # target size of T1
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _list_len(self, name: str) -> int:
-        return len(self._lists[name])
-
-    def _push(self, name: str, block: Block) -> None:
-        self._where[block] = (name, self._lists[name].push_front(ListNode(block)))
-
-    def _drop(self, block: Block) -> str:
-        name, node = self._where.pop(block)
-        self._lists[name].remove(node)
-        return name
-
-    def _pop_lru(self, name: str) -> Block:
-        node = self._lists[name].pop_back()
-        del self._where[node.value]
-        return node.value
+    def _named_lists(self) -> Tuple[Tuple[str, "OrderedDict[Block, None]"], ...]:
+        return (
+            ("T1", self._t1), ("T2", self._t2),
+            ("B1", self._b1), ("B2", self._b2),
+        )
 
     def _replace(self, in_b2: bool) -> Block:
         """Evict from T1 or T2 per the REPLACE subroutine; ghost kept."""
-        t1_len = self._list_len(_T1)
+        t1 = self._t1
+        t1_len = len(t1)
         if t1_len > 0 and (
             t1_len > self._p or (in_b2 and t1_len == int(self._p))
         ):
-            victim = self._pop_lru(_T1)
-            self._push(_B1, victim)
+            victim = t1.popitem(last=False)[0]
+            self._b1[victim] = None
         else:
-            victim = self._pop_lru(_T2)
-            self._push(_B2, victim)
+            victim = self._t2.popitem(last=False)[0]
+            self._b2[victim] = None
         return victim
 
     # -- ReplacementPolicy interface -------------------------------------------
 
     def __contains__(self, block: Block) -> bool:
-        entry = self._where.get(block)
-        return entry is not None and entry[0] in (_T1, _T2)
+        return block in self._t1 or block in self._t2
 
     def __len__(self) -> int:
-        return self._list_len(_T1) + self._list_len(_T2)
+        return len(self._t1) + len(self._t2)
 
     def touch(self, block: Block) -> None:
+        t2 = self._t2
+        if block in t2:
+            t2.move_to_end(block)
+            return
         self._require_resident(block)
-        self._drop(block)
-        self._push(_T2, block)
+        del self._t1[block]
+        t2[block] = None
 
     def insert(self, block: Block) -> List[Block]:
         self._require_absent(block)
-        where = self._where.get(block)
+        t1, t2, b1, b2 = self._t1, self._t2, self._b1, self._b2
         evicted: List[Block] = []
         capacity = self.capacity
 
-        if where is not None and where[0] == _B1:
+        if block in b1:
             # Ghost hit in B1: favour recency.
-            delta = max(1.0, self._list_len(_B2) / max(1, self._list_len(_B1)))
+            delta = max(1.0, len(b2) / max(1, len(b1)))
             self._p = min(float(capacity), self._p + delta)
             if self.full:
                 evicted.append(self._replace(in_b2=False))
-            self._drop(block)
-            self._push(_T2, block)
+            del b1[block]
+            t2[block] = None
             return evicted
 
-        if where is not None and where[0] == _B2:
+        if block in b2:
             # Ghost hit in B2: favour frequency.
-            delta = max(1.0, self._list_len(_B1) / max(1, self._list_len(_B2)))
+            delta = max(1.0, len(b1) / max(1, len(b2)))
             self._p = max(0.0, self._p - delta)
             if self.full:
                 evicted.append(self._replace(in_b2=True))
-            self._drop(block)
-            self._push(_T2, block)
+            del b2[block]
+            t2[block] = None
             return evicted
 
         # Completely new block (case IV of the paper).
-        l1 = self._list_len(_T1) + self._list_len(_B1)
-        l2 = self._list_len(_T2) + self._list_len(_B2)
+        l1 = len(t1) + len(b1)
+        l2 = len(t2) + len(b2)
         if l1 == capacity:
-            if self._list_len(_T1) < capacity:
-                self._pop_lru(_B1)
+            if len(t1) < capacity:
+                b1.popitem(last=False)
                 if self.full:
                     evicted.append(self._replace(in_b2=False))
             else:
-                evicted.append(self._pop_lru(_T1))
+                evicted.append(t1.popitem(last=False)[0])
         elif l1 < capacity and l1 + l2 >= capacity:
             if l1 + l2 == 2 * capacity:
-                self._pop_lru(_B2)
+                b2.popitem(last=False)
             if self.full:
                 evicted.append(self._replace(in_b2=False))
-        self._push(_T1, block)
+        t1[block] = None
         return evicted
 
     def remove(self, block: Block) -> None:
         self._require_resident(block)
-        self._drop(block)
+        if block in self._t1:
+            del self._t1[block]
+        else:
+            del self._t2[block]
 
     def victim(self) -> Optional[Block]:
         """Victim a brand-new insert would evict (approximate peek)."""
         if not self.full:
             return None
-        t1_len = self._list_len(_T1)
-        if t1_len and (t1_len > self._p or self._list_len(_T2) == 0):
-            tail = self._lists[_T1].tail
-        else:
-            tail = self._lists[_T2].tail
-        if tail is None:  # pragma: no cover - defensive
-            raise ProtocolError("ARC full but both T lists empty")
-        return tail.value
+        t1 = self._t1
+        if t1 and (len(t1) > self._p or not self._t2):
+            return next(iter(t1))
+        return next(iter(self._t2))
 
     def resident(self) -> Iterator[Block]:
-        for name in (_T1, _T2):
-            yield from self._lists[name].values()
+        yield from reversed(self._t1)
+        yield from reversed(self._t2)
 
     def check_invariants(self) -> None:
         super().check_invariants()
         capacity = self.capacity
-        sizes = {name: len(lst) for name, lst in self._lists.items()}
-        if sizes[_T1] + sizes[_B1] > capacity:
+        sizes = {name: len(lst) for name, lst in self._named_lists()}
+        tracked = sum(sizes.values())
+        if sizes["T1"] + sizes["B1"] > capacity:
             raise ProtocolError(
-                f"arc: |T1|+|B1| = {sizes[_T1] + sizes[_B1]} exceeds c={capacity}"
+                f"arc: |T1|+|B1| = {sizes['T1'] + sizes['B1']} exceeds c={capacity}"
             )
-        if sum(sizes.values()) > 2 * capacity:
+        if tracked > 2 * capacity:
             raise ProtocolError(
-                f"arc: directory holds {sum(sizes.values())} blocks, limit {2 * capacity}"
+                f"arc: directory holds {tracked} blocks, limit {2 * capacity}"
             )
         if not 0.0 <= self._p <= capacity:
             raise ProtocolError(f"arc: adaptation target p={self._p} outside [0, c]")
-        if len(self._where) != sum(sizes.values()):
+        distinct = set().union(*(lst for _, lst in self._named_lists()))
+        if len(distinct) != tracked:
             raise ProtocolError(
-                f"arc: index tracks {len(self._where)} blocks, "
-                f"lists hold {sum(sizes.values())}"
+                f"arc: {tracked - len(distinct)} blocks sit in more than one list"
             )
-        for block, (name, node) in self._where.items():
-            if node.value != block:
-                raise ProtocolError(
-                    f"arc: index entry {block!r} points at node {node.value!r} in {name}"
-                )
 
     # -- introspection ----------------------------------------------------------
 
@@ -184,5 +169,7 @@ class ARCPolicy(ReplacementPolicy):
 
     def list_of(self, block: Block) -> Optional[str]:
         """Which ARC list currently tracks ``block`` (or ``None``)."""
-        entry = self._where.get(block)
-        return entry[0] if entry is not None else None
+        for name, lst in self._named_lists():
+            if block in lst:
+                return name
+        return None

@@ -2,17 +2,17 @@
 
 Implemented with the classic O(1) frequency-list structure: a list of
 frequency buckets, each holding an LRU-ordered list of blocks with that
-reference count. Included as the canonical frequency-based baseline next
-to MQ.
+reference count (an ``OrderedDict`` whose first key is the LRU end).
+Included as the canonical frequency-based baseline next to MQ.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.linkedlist import DoublyLinkedList, ListNode
 
 
 class LFUPolicy(ReplacementPolicy):
@@ -22,39 +22,36 @@ class LFUPolicy(ReplacementPolicy):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        # frequency -> list of blocks at that frequency, MRU first.
-        self._buckets: Dict[int, DoublyLinkedList[Block]] = {}
-        # block -> (frequency, node)
-        self._entries: Dict[Block, Tuple[int, ListNode[Block]]] = {}
+        # frequency -> blocks at that frequency, LRU first.
+        self._buckets: Dict[int, "OrderedDict[Block, None]"] = {}
+        # block -> frequency
+        self._freq: Dict[Block, int] = {}
 
     def __contains__(self, block: Block) -> bool:
-        return block in self._entries
+        return block in self._freq
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def _bucket(self, freq: int) -> DoublyLinkedList[Block]:
-        bucket = self._buckets.get(freq)
-        if bucket is None:
-            bucket = self._buckets[freq] = DoublyLinkedList()
-        return bucket
+        return len(self._freq)
 
     def _unlink(self, block: Block) -> int:
         """Remove ``block`` from its bucket; returns its frequency."""
-        freq, node = self._entries.pop(block)
+        freq = self._freq.pop(block)
         bucket = self._buckets[freq]
-        bucket.remove(node)
+        del bucket[block]
         if not bucket:
             del self._buckets[freq]
         return freq
 
     def _link(self, block: Block, freq: int) -> None:
-        self._entries[block] = (freq, self._bucket(freq).push_front(ListNode(block)))
+        self._freq[block] = freq
+        bucket = self._buckets.get(freq)
+        if bucket is None:
+            bucket = self._buckets[freq] = OrderedDict()
+        bucket[block] = None
 
     def touch(self, block: Block) -> None:
         self._require_resident(block)
-        freq = self._unlink(block)
-        self._link(block, freq + 1)
+        self._link(block, self._unlink(block) + 1)
 
     def insert(self, block: Block) -> List[Block]:
         self._require_absent(block)
@@ -75,15 +72,32 @@ class LFUPolicy(ReplacementPolicy):
     # repro: bound O(n) -- min scan over the occupied frequency
     # buckets (at most one per distinct frequency)
     def victim(self) -> Optional[Block]:
-        if not self.full or not self._entries:
+        if not self.full or not self._freq:
             return None
-        min_freq = min(self._buckets)
-        return self._buckets[min_freq].tail.value  # type: ignore[union-attr]
+        return next(iter(self._buckets[min(self._buckets)]))
 
     def resident(self) -> Iterator[Block]:
-        return iter(list(self._entries))
+        return iter(list(self._freq))
+
+    def check_invariants(self) -> None:
+        super().check_invariants()
+        bucketed = 0
+        for freq, bucket in self._buckets.items():
+            if not bucket:
+                raise ProtocolError(f"lfu: empty bucket for frequency {freq}")
+            for block in bucket:
+                if self._freq.get(block) != freq:
+                    raise ProtocolError(
+                        f"lfu: block {block!r} in bucket {freq} has "
+                        f"frequency {self._freq.get(block)}"
+                    )
+            bucketed += len(bucket)
+        if bucketed != len(self._freq):
+            raise ProtocolError(
+                f"lfu: buckets hold {bucketed} blocks, {len(self._freq)} tracked"
+            )
 
     def frequency(self, block: Block) -> int:
         """Current reference count of a resident block (for tests)."""
         self._require_resident(block)
-        return self._entries[block][0]
+        return self._freq[block]

@@ -12,8 +12,11 @@ State:
 
 - Stack ``S`` holds LIR blocks, resident HIR blocks and a bounded number
   of non-resident HIR blocks, ordered by recency.
-- Queue ``Q`` holds the resident HIR blocks; its head is the eviction
-  victim.
+- Queue ``Q`` holds the resident HIR blocks; its oldest entry is the
+  eviction victim.
+- Both are ``OrderedDict`` s whose first key is the bottom (oldest) end
+  and last key the top (newest); a third dict maps every tracked block
+  to its state.
 - The cache is split into ``capacity - hir_size`` LIR slots and
   ``hir_size`` HIR slots (``hir_size`` ~1% of capacity, at least 1).
 - Stack pruning keeps an LIR block at the bottom of ``S``.
@@ -21,26 +24,16 @@ State:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.linkedlist import DoublyLinkedList, ListNode
 from repro.util.validation import check_positive
 
 _LIR = "LIR"
 _HIR_RESIDENT = "HIRr"
 _HIR_NONRESIDENT = "HIRn"
-
-
-class _LirsEntry:
-    __slots__ = ("block", "state", "stack_node", "queue_node")
-
-    def __init__(self, block: Block, state: str) -> None:
-        self.block = block
-        self.state = state
-        self.stack_node: Optional[ListNode["_LirsEntry"]] = None
-        self.queue_node: Optional[ListNode["_LirsEntry"]] = None
 
 
 class LIRSPolicy(ReplacementPolicy):
@@ -73,9 +66,9 @@ class LIRSPolicy(ReplacementPolicy):
             self.hir_size = max(1, capacity - 1) if capacity > 1 else 1
         self.lir_size = max(1, capacity - self.hir_size)
         self.ghost_limit = max(1, int(capacity * ghost_factor))
-        self._stack: DoublyLinkedList[_LirsEntry] = DoublyLinkedList()
-        self._queue: DoublyLinkedList[_LirsEntry] = DoublyLinkedList()
-        self._entries: Dict[Block, _LirsEntry] = {}
+        self._stack: "OrderedDict[Block, None]" = OrderedDict()
+        self._queue: "OrderedDict[Block, None]" = OrderedDict()
+        self._state: Dict[Block, str] = {}
         self._lir_count = 0
         self._ghost_count = 0
 
@@ -85,69 +78,52 @@ class LIRSPolicy(ReplacementPolicy):
         return self._lir_count + len(self._queue)
 
     def __contains__(self, block: Block) -> bool:
-        entry = self._entries.get(block)
-        return entry is not None and entry.state != _HIR_NONRESIDENT
+        state = self._state.get(block)
+        return state is not None and state != _HIR_NONRESIDENT
 
     def __len__(self) -> int:
         return self._resident_count()
 
-    def _stack_push(self, entry: _LirsEntry) -> None:
-        entry.stack_node = self._stack.push_front(ListNode(entry))
-
-    def _stack_remove(self, entry: _LirsEntry) -> None:
-        if entry.stack_node is not None:
-            self._stack.remove(entry.stack_node)
-            entry.stack_node = None
-
-    def _queue_push(self, entry: _LirsEntry) -> None:
-        entry.queue_node = self._queue.push_front(ListNode(entry))
-
-    def _queue_remove(self, entry: _LirsEntry) -> None:
-        if entry.queue_node is not None:
-            self._queue.remove(entry.queue_node)
-            entry.queue_node = None
-
-    def _drop_entry(self, entry: _LirsEntry) -> None:
-        self._stack_remove(entry)
-        self._queue_remove(entry)
-        del self._entries[entry.block]
+    def _drop_entry(self, block: Block) -> None:
+        self._stack.pop(block, None)
+        self._queue.pop(block, None)
+        del self._state[block]
 
     # repro: bound O(1) amortized -- each popped HIR entry was pushed
     # onto the LIRS stack exactly once, so pruning is prepaid
     def _prune_stack(self) -> None:
         """Remove HIR entries from the stack bottom until a LIR block (or
-        nothing) remains at the bottom; demote that LIR block if it was
-        just exposed by the caller."""
+        nothing) remains at the bottom."""
         stack = self._stack
+        states = self._state
         while stack:
-            bottom = stack.tail
-            if bottom is None:
-                raise ProtocolError("non-empty LIRS stack has no tail")
-            entry = bottom.value
-            if entry.state == _LIR:
+            bottom = next(iter(stack))
+            state = states[bottom]
+            if state == _LIR:
                 return
-            stack.remove(bottom)
-            entry.stack_node = None
-            if entry.state == _HIR_NONRESIDENT:
+            del stack[bottom]
+            if state == _HIR_NONRESIDENT:
                 self._ghost_count -= 1
-                del self._entries[entry.block]
+                del states[bottom]
             # Resident HIR entries stay tracked via the queue.
 
-    # repro: bound O(n) amortized -- the reverse walk removes ghosts
-    # beyond the limit; each removed ghost was inserted once
+    # repro: bound O(n) amortized -- the bottom-up walk stops at the
+    # ghosts beyond the limit; each removed ghost was inserted once
     def _enforce_ghost_limit(self) -> None:
-        if self._ghost_count <= self.ghost_limit:
+        excess = self._ghost_count - self.ghost_limit
+        if excess <= 0:
             return
-        stack = self._stack
-        for node in stack.iter_reverse():
-            entry = node.value
-            if entry.state == _HIR_NONRESIDENT:
-                entry.stack_node = None
-                stack.remove(node)
-                del self._entries[entry.block]
-                self._ghost_count -= 1
-                if self._ghost_count <= self.ghost_limit:
+        states = self._state
+        doomed: List[Block] = []
+        for block in self._stack:
+            if states[block] == _HIR_NONRESIDENT:
+                doomed.append(block)
+                if len(doomed) == excess:
                     break
+        for block in doomed:
+            del self._stack[block]
+            del states[block]
+        self._ghost_count -= len(doomed)
         self._prune_stack()
 
     def _evict_hir_victim(self) -> Block:
@@ -161,18 +137,14 @@ class LIRSPolicy(ReplacementPolicy):
             self._demote_lir_bottom()
         if not self._queue:
             raise ProtocolError("LIRS eviction with empty HIR queue")
-        node = self._queue.tail
-        if node is None:
-            raise ProtocolError("non-empty LIRS queue has no tail")
-        entry = node.value
-        self._queue_remove(entry)
-        if entry.stack_node is not None:
-            entry.state = _HIR_NONRESIDENT
+        block = self._queue.popitem(last=False)[0]
+        if block in self._stack:
+            self._state[block] = _HIR_NONRESIDENT
             self._ghost_count += 1
             self._enforce_ghost_limit()
         else:
-            del self._entries[entry.block]
-        return entry.block
+            del self._state[block]
+        return block
 
     def _demote_lir_bottom(self) -> None:
         """Turn the bottom-most LIR block of the stack into a resident HIR
@@ -183,136 +155,123 @@ class LIRSPolicy(ReplacementPolicy):
         pruning it away first.
         """
         self._prune_stack()
-        bottom = self._stack.tail
-        if bottom is None:
+        if not self._stack:
             raise ProtocolError("LIRS demotion with no LIR block in stack")
-        entry = bottom.value
-        if entry.state != _LIR:
-            raise ProtocolError("LIRS stack bottom is not LIR after pruning")
-        self._stack_remove(entry)
-        entry.state = _HIR_RESIDENT
+        bottom = self._stack.popitem(last=False)[0]
+        self._state[bottom] = _HIR_RESIDENT
         self._lir_count -= 1
-        self._queue_push(entry)
+        self._queue[bottom] = None
         self._prune_stack()
+
+    def _promote(self, block: Block) -> None:
+        """Make a stacked HIR block LIR at the stack top, demoting the
+        LIR bottom if that overfills the LIR set."""
+        self._stack.move_to_end(block)
+        self._state[block] = _LIR
+        self._lir_count += 1
+        if self._lir_count > self.lir_size:
+            self._demote_lir_bottom()
 
     # -- ReplacementPolicy interface -------------------------------------------
 
     def touch(self, block: Block) -> None:
         self._require_resident(block)
-        entry = self._entries[block]
-        if entry.state == _LIR:
-            was_bottom = self._stack.tail is entry.stack_node
-            self._stack_remove(entry)
-            self._stack_push(entry)
+        stack = self._stack
+        if self._state[block] == _LIR:
+            was_bottom = next(iter(stack)) == block
+            stack.move_to_end(block)
             if was_bottom:
                 self._prune_stack()
             return
         # Resident HIR hit.
-        if entry.stack_node is not None:
+        if block in stack:
             # In stack: promote to LIR; demote the LIR bottom to HIR.
-            self._stack_remove(entry)
-            self._queue_remove(entry)
-            entry.state = _LIR
-            self._lir_count += 1
-            self._stack_push(entry)
-            if self._lir_count > self.lir_size:
-                self._demote_lir_bottom()
+            del self._queue[block]
+            self._promote(block)
         else:
             # Not in stack: stays HIR, moves to queue MRU, re-enters stack.
-            self._queue_remove(entry)
-            self._queue_push(entry)
-            self._stack_push(entry)
+            self._queue.move_to_end(block)
+            stack[block] = None
 
     def insert(self, block: Block) -> List[Block]:
-        entry = self._entries.get(block)
-        if entry is not None and entry.state != _HIR_NONRESIDENT:
+        state = self._state.get(block)
+        if state is not None and state != _HIR_NONRESIDENT:
             raise ProtocolError(f"block {block!r} is already resident in lirs")
         evicted: List[Block] = []
         if self._resident_count() >= self.capacity:
             evicted.append(self._evict_hir_victim())
             # The eviction may have pushed the ghost list over its limit
-            # and trimmed the very ghost being promoted — re-fetch it.
-            entry = self._entries.get(block)
+            # and trimmed the very ghost being promoted — re-check it.
+            state = self._state.get(block)
 
-        if entry is not None:
+        if state is not None:
             # Ghost hit: small inter-reference recency, promote to LIR.
             self._ghost_count -= 1
-            self._stack_remove(entry)
-            entry.state = _LIR
-            self._lir_count += 1
-            self._stack_push(entry)
-            if self._lir_count > self.lir_size:
-                self._demote_lir_bottom()
+            self._promote(block)
             return evicted
 
-        entry = _LirsEntry(block, _LIR)
-        self._entries[block] = entry
+        self._stack[block] = None
         if self._lir_count < self.lir_size:
             # Cold start: fill the LIR set first.
-            entry.state = _LIR
+            self._state[block] = _LIR
             self._lir_count += 1
-            self._stack_push(entry)
         else:
-            entry.state = _HIR_RESIDENT
-            self._stack_push(entry)
-            self._queue_push(entry)
+            self._state[block] = _HIR_RESIDENT
+            self._queue[block] = None
         return evicted
 
     def remove(self, block: Block) -> None:
         self._require_resident(block)
-        entry = self._entries[block]
-        if entry.state == _LIR:
+        if self._state[block] == _LIR:
             self._lir_count -= 1
-            self._drop_entry(entry)
+            self._drop_entry(block)
             self._prune_stack()
         else:
-            self._drop_entry(entry)
+            self._drop_entry(block)
 
     # repro: bound O(n) -- pure prediction: the degenerate all-LIR
     # case walks the stack snapshot without pruning it
     def victim(self) -> Optional[Block]:
         if not self.full:
             return None
-        tail = self._queue.tail
-        if tail is not None:
-            return tail.value.block
+        if self._queue:
+            return next(iter(self._queue))
         # Degenerate: all resident blocks are LIR (can happen transiently
         # for capacity 1); the next eviction demotes the bottom-most LIR
         # block, so peek that.  Pure walk: skip unpruned HIR entries.
-        for node in self._stack.iter_reverse():
-            if node.value.state == _LIR:
-                return node.value.block
+        for block in self._stack:
+            if self._state[block] == _LIR:
+                return block
         return None
 
     def resident(self) -> Iterator[Block]:
-        for block, entry in list(self._entries.items()):
-            if entry.state != _HIR_NONRESIDENT:
+        for block, state in list(self._state.items()):
+            if state != _HIR_NONRESIDENT:
                 yield block
 
     def check_invariants(self) -> None:
         super().check_invariants()
+        stack, queue = self._stack, self._queue
         lir = hir_resident = ghosts = 0
-        for block, entry in self._entries.items():
-            if entry.block != block:
-                raise ProtocolError(f"lirs: entry keyed {block!r} holds {entry.block!r}")
-            if entry.state == _LIR:
+        for block, state in self._state.items():
+            if state == _LIR:
                 lir += 1
-                if entry.stack_node is None:
+                if block not in stack:
                     raise ProtocolError(f"lirs: LIR block {block!r} not in stack")
-                if entry.queue_node is not None:
+                if block in queue:
                     raise ProtocolError(f"lirs: LIR block {block!r} in HIR queue")
-            elif entry.state == _HIR_RESIDENT:
+            elif state == _HIR_RESIDENT:
                 hir_resident += 1
-                if entry.queue_node is None:
+                if block not in queue:
                     raise ProtocolError(f"lirs: resident HIR block {block!r} not in queue")
-            elif entry.state == _HIR_NONRESIDENT:
+            elif state == _HIR_NONRESIDENT:
                 ghosts += 1
-                if entry.stack_node is None:
+                if block not in stack:
                     raise ProtocolError(f"lirs: ghost {block!r} not in stack")
-                if entry.queue_node is not None:
+                if block in queue:
                     raise ProtocolError(f"lirs: ghost {block!r} in HIR queue")
             else:
-                raise ProtocolError(f"lirs: block {block!r} has state {entry.state!r}")
+                raise ProtocolError(f"lirs: block {block!r} has state {state!r}")
         if lir != self._lir_count:
             raise ProtocolError(
                 f"lirs: lir_count {self._lir_count} != {lir} LIR entries"
@@ -325,23 +284,19 @@ class LIRSPolicy(ReplacementPolicy):
             raise ProtocolError(
                 f"lirs: {ghosts} ghosts exceed limit {self.ghost_limit}"
             )
-        if hir_resident != len(self._queue):
+        if hir_resident != len(queue):
             raise ProtocolError(
-                f"lirs: queue length {len(self._queue)} != "
+                f"lirs: queue length {len(queue)} != "
                 f"{hir_resident} resident HIR entries"
             )
-        in_stack = sum(1 for _ in self._stack)
-        tracked = sum(
-            1 for e in self._entries.values() if e.stack_node is not None
-        )
-        if in_stack != tracked:
+        untracked = [block for block in stack if block not in self._state]
+        if untracked:
             raise ProtocolError(
-                f"lirs: stack length {in_stack} != {tracked} tracked stack nodes"
+                f"lirs: stack holds untracked blocks {untracked!r}"
             )
 
     # -- introspection ---------------------------------------------------------
 
     def state_of(self, block: Block) -> Optional[str]:
         """``"LIR"``, ``"HIRr"``, ``"HIRn"`` or ``None`` (untracked)."""
-        entry = self._entries.get(block)
-        return entry.state if entry is not None else None
+        return self._state.get(block)

@@ -13,19 +13,19 @@ defaults to 25% of the cache and ``Kout`` (A1out ghosts) to 50%.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.linkedlist import DoublyLinkedList, ListNode
 from repro.util.validation import check_fraction
-
-_A1IN = "a1in"
-_AM = "am"
 
 
 class TwoQPolicy(ReplacementPolicy):
-    """The full 2Q algorithm."""
+    """The full 2Q algorithm.
+
+    Each queue is an ``OrderedDict`` whose first key is the oldest
+    (eviction) end and last key the newest.
+    """
 
     name = "2q"
 
@@ -42,16 +42,15 @@ class TwoQPolicy(ReplacementPolicy):
         if self.kin >= capacity and capacity > 1:
             self.kin = capacity - 1
         self.kout = max(1, int(capacity * kout_fraction))
-        self._a1in: DoublyLinkedList[Block] = DoublyLinkedList()  # FIFO
-        self._am: DoublyLinkedList[Block] = DoublyLinkedList()    # LRU
-        self._where: Dict[Block, tuple] = {}  # block -> (list name, node)
-        self._a1out: "OrderedDict[Block, None]" = OrderedDict()   # ghosts
+        self._a1in: "OrderedDict[Block, None]" = OrderedDict()   # FIFO
+        self._am: "OrderedDict[Block, None]" = OrderedDict()     # LRU
+        self._a1out: "OrderedDict[Block, None]" = OrderedDict()  # ghosts
 
     def __contains__(self, block: Block) -> bool:
-        return block in self._where
+        return block in self._am or block in self._a1in
 
     def __len__(self) -> int:
-        return len(self._where)
+        return len(self._a1in) + len(self._am)
 
     # repro: bound O(1) amortized -- the A1out trim pops at most the
     # ghosts earlier evictions pushed
@@ -59,25 +58,23 @@ class TwoQPolicy(ReplacementPolicy):
         """Reclaim per 2Q: prefer the A1in tail (remembering its ghost),
         otherwise the Am LRU tail."""
         if len(self._a1in) > self.kin or not self._am:
-            node = self._a1in.pop_back()
-            victim = node.value
+            victim = self._a1in.popitem(last=False)[0]
             a1out = self._a1out
             a1out[victim] = None
             while len(a1out) > self.kout:
                 a1out.popitem(last=False)
         else:
-            node = self._am.pop_back()
-            victim = node.value
-        del self._where[victim]
+            victim = self._am.popitem(last=False)[0]
         return victim
 
     def touch(self, block: Block) -> None:
-        self._require_resident(block)
-        where, node = self._where[block]
-        if where == _AM:
-            self._am.move_to_front(node)
+        am = self._am
+        if block in am:
+            am.move_to_end(block)
+            return
         # A hit in A1in leaves the block in place (2Q's defining rule:
         # correlated re-references inside probation prove nothing).
+        self._require_resident(block)
 
     def insert(self, block: Block) -> List[Block]:
         self._require_absent(block)
@@ -86,29 +83,28 @@ class TwoQPolicy(ReplacementPolicy):
             evicted.append(self._evict_one())
         if block in self._a1out:
             del self._a1out[block]
-            self._where[block] = (_AM, self._am.push_front(ListNode(block)))
+            self._am[block] = None
         else:
-            self._where[block] = (
-                _A1IN,
-                self._a1in.push_front(ListNode(block)),
-            )
+            self._a1in[block] = None
         return evicted
 
     def remove(self, block: Block) -> None:
         self._require_resident(block)
-        where, node = self._where.pop(block)
-        (self._am if where == _AM else self._a1in).remove(node)
+        if block in self._am:
+            del self._am[block]
+        else:
+            del self._a1in[block]
 
     def victim(self) -> Optional[Block]:
         if not self.full:
             return None
         if len(self._a1in) > self.kin or not self._am:
-            return self._a1in.tail.value  # type: ignore[union-attr]
-        return self._am.tail.value  # type: ignore[union-attr]
+            return next(iter(self._a1in))
+        return next(iter(self._am))
 
     def resident(self) -> Iterator[Block]:
-        yield from self._a1in.values()
-        yield from self._am.values()
+        yield from reversed(self._a1in)
+        yield from reversed(self._am)
 
     def check_invariants(self) -> None:
         super().check_invariants()
@@ -116,17 +112,11 @@ class TwoQPolicy(ReplacementPolicy):
             raise ProtocolError(
                 f"2q: {len(self._a1out)} ghosts exceed Kout={self.kout}"
             )
-        if len(self._where) != len(self._a1in) + len(self._am):
-            raise ProtocolError(
-                f"2q: index tracks {len(self._where)} blocks, queues hold "
-                f"{len(self._a1in) + len(self._am)}"
-            )
-        for block, (name, node) in self._where.items():
-            if node.value != block:
-                raise ProtocolError(
-                    f"2q: index entry {block!r} points at node {node.value!r} in {name}"
-                )
-            if block in self._a1out:
+        for block in self._a1in:
+            if block in self._am:
+                raise ProtocolError(f"2q: block {block!r} in both A1in and Am")
+        for block in self._a1out:
+            if block in self:
                 raise ProtocolError(f"2q: block {block!r} both resident and ghost")
 
     def in_ghost(self, block: Block) -> bool:
@@ -136,4 +126,4 @@ class TwoQPolicy(ReplacementPolicy):
     def queue_of(self, block: Block) -> str:
         """``"a1in"`` or ``"am"`` for a resident block (tests)."""
         self._require_resident(block)
-        return self._where[block][0]
+        return "am" if block in self._am else "a1in"

@@ -5,10 +5,8 @@ that the caching protocols and the analysis pipeline are built on:
 
 - :mod:`repro.util.fenwick` — binary indexed trees with order-statistic
   queries, used for O(log n) recency ranks.
-- :mod:`repro.util.linkedlist` — an intrusive doubly linked list with O(1)
-  splicing, the backbone of every LRU-style stack in the library.
-- :mod:`repro.util.ostree` — an order-statistic treap (sorted multiset with
-  rank queries), used by the measure analysis.
+- :mod:`repro.util.intlist` — integer-slot doubly linked lists over a
+  shared slab, the backbone of the LRU-family stacks.
 - :mod:`repro.util.rng` — deterministic random number helpers.
 - :mod:`repro.util.stats` — streaming statistics.
 - :mod:`repro.util.tables` — plain-text table rendering for reports.
@@ -16,8 +14,6 @@ that the caching protocols and the analysis pipeline are built on:
 """
 
 from repro.util.fenwick import FenwickTree
-from repro.util.linkedlist import DoublyLinkedList, ListNode
-from repro.util.ostree import OrderStatisticTree
 from repro.util.rng import make_rng, spawn_seeds
 from repro.util.stats import RunningStats, Histogram
 from repro.util.tables import format_table, format_grid
@@ -30,9 +26,6 @@ from repro.util.validation import (
 
 __all__ = [
     "FenwickTree",
-    "DoublyLinkedList",
-    "ListNode",
-    "OrderStatisticTree",
     "make_rng",
     "spawn_seeds",
     "RunningStats",

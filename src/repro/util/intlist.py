@@ -2,12 +2,10 @@
 
 This is the array kernel under every LRU-family structure in the
 library (plain LRU, MQ's queues, the uniLRUstack's global and per-level
-lists, the server's gLRU). It replaces the pointer-object representation
-(:mod:`repro.util.linkedlist`) on the hot paths: instead of one
-:class:`~repro.util.linkedlist.ListNode` object per element per list,
-elements are integer *slots* handed out by an :class:`IntSlab`, and each
-:class:`IntLinkedList` stores its links in two plain Python lists
-(``prev`` / ``next``) indexed by slot.
+lists, the server's gLRU). Instead of one node object per element per
+list, elements are integer *slots* handed out by an :class:`IntSlab`,
+and each :class:`IntLinkedList` stores its links in two plain Python
+lists (``prev`` / ``next``) indexed by slot.
 
 Why this layout wins (cf. Inoue's multi-step LRU, arXiv:2112.09981):
 
@@ -35,8 +33,7 @@ invariants checked by :meth:`IntLinkedList.check_invariants`:
 - an unlinked slot has ``prev[slot] == next[slot] == UNLINKED``.
 
 The head end (``next[0]``) is the most-recently-used end for every
-stack built on this class; the tail (``prev[0]``) is the eviction end —
-the same orientation as :class:`~repro.util.linkedlist.DoublyLinkedList`.
+stack built on this class; the tail (``prev[0]``) is the eviction end.
 """
 
 from __future__ import annotations
@@ -158,11 +155,11 @@ class IntSlab:
 class IntLinkedList:
     """Doubly linked list of slab slots with O(1) splicing.
 
-    Operationally equivalent to
-    :class:`~repro.util.linkedlist.DoublyLinkedList`, with integer slots
-    in place of node objects: linking an already-linked slot or touching
-    a slot this list does not own raises :class:`ProtocolError`, and the
-    head is the MRU end.
+    Operationally equivalent to a pointer-node doubly linked list (the
+    reference ``tests/util/test_intlist.py`` drives it against in
+    lockstep), with integer slots in place of node objects: linking an
+    already-linked slot or touching a slot this list does not own
+    raises :class:`ProtocolError`, and the head is the MRU end.
 
     The ``prev`` / ``next`` arrays are public for kernel callers (see
     the module docstring); everyone else should stay on the methods.

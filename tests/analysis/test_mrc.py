@@ -19,7 +19,6 @@ from repro.analysis.mrc import (
     derive_sweep_results,
     mrc_for_trace,
     stack_distances,
-    stack_distances_reference,
     supports_scheme,
 )
 from repro.errors import ConfigurationError
@@ -34,6 +33,7 @@ from repro.workloads.synthetic import (
     sequential_trace,
     zipf_trace,
 )
+from tests.util.ostree import stack_distances_reference
 
 
 def _naive_distances(blocks):

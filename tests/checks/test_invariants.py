@@ -25,7 +25,7 @@ from repro.hierarchy import ULCScheme, UnifiedLRUScheme
 from repro.sim import run_simulation
 from repro.sim.costs import paper_two_level
 from repro.util.fenwick import FenwickTree
-from repro.util.ostree import OrderStatisticTree
+from tests.util.ostree import OrderStatisticTree
 from repro.workloads import zipf_trace
 
 

@@ -1,10 +1,11 @@
-"""Intrusive doubly linked list with O(1) splicing.
+"""Intrusive doubly linked list with O(1) splicing (test reference).
 
-Every LRU-style stack in the library (plain LRU, the uniLRUstack, the
-server's gLRU) is built on this list. Nodes are first-class objects owned
-by the caller, so a node can be unlinked, moved to the front, or inserted
-before/after another node in O(1) without any lookup, which is exactly the
-cost profile the ULC paper claims for its stack operations.
+The pointer-node list the library's LRU stacks were first built on,
+kept as the reference :class:`repro.util.intlist.IntLinkedList` is
+checked against in lockstep (``tests/util/test_intlist.py``). Nodes are
+first-class objects owned by the caller, so a node can be unlinked,
+moved to the front, or inserted before/after another node in O(1)
+without any lookup.
 
 The list uses a circular sentinel internally, which removes every special
 case for empty lists and boundary nodes.

@@ -1,10 +1,10 @@
 """Order-statistic treap: a sorted multiset with O(log n) rank queries.
 
-The locality-measure analysis (:mod:`repro.analysis`) keeps blocks in a list
-ordered by a measure value (ND, NLD, ...) and needs, per reference, the rank
-a block occupies before and after its value changes. A treap — a binary
-search tree whose heap priorities are drawn from a deterministic PRNG —
-gives expected O(log n) insert, delete and rank with very little code.
+A test reference: :func:`stack_distances_reference` computes LRU stack
+distances over it, the slow oracle the Fenwick-tree profiler in
+:mod:`repro.analysis.mrc` is checked against. A treap — a binary search
+tree whose heap priorities are drawn from a deterministic PRNG — gives
+expected O(log n) insert, delete and rank with very little code.
 
 Keys are compared as plain Python tuples/numbers; duplicate keys are
 allowed (the tree is a multiset). Each entry is identified by an opaque
@@ -13,8 +13,9 @@ handle so a specific occurrence can be deleted.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from repro.analysis.mrc import COLD_DISTANCE
 from repro.errors import ProtocolError
 from repro.util.rng import make_stdlib_rng
 
@@ -239,3 +240,25 @@ class OrderStatisticTree:
             return size
 
         walk(self._root)
+
+
+def stack_distances_reference(blocks: Sequence[int]) -> List[int]:
+    """Stack distances over an :class:`OrderStatisticTree`.
+
+    Entries are keyed by last-access time; the stack distance of a
+    re-reference is the number of entries at or after the block's own
+    (``len - rank``). Returns plain ints, :data:`COLD_DISTANCE` for
+    first references.
+    """
+    tree = OrderStatisticTree()
+    handles: Dict[int, _TreapNode] = {}
+    out: List[int] = []
+    for t, block in enumerate(blocks):
+        handle = handles.get(block)
+        if handle is None:
+            out.append(int(COLD_DISTANCE))
+        else:
+            out.append(len(tree) - tree.rank(handle))
+            tree.remove(handle)
+        handles[block] = tree.insert(t)
+    return out

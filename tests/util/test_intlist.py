@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.util.intlist import SENTINEL, UNLINKED, IntLinkedList, IntSlab
-from repro.util.linkedlist import DoublyLinkedList, ListNode
+from tests.util.linkedlist import DoublyLinkedList, ListNode
 
 OPS = (
     "alloc",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.util.linkedlist import DoublyLinkedList, ListNode
+from tests.util.linkedlist import DoublyLinkedList, ListNode
 
 
 def make_list(values):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.ostree import OrderStatisticTree
+from tests.util.ostree import OrderStatisticTree
 
 
 class TestBasics:
