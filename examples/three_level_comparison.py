@@ -12,7 +12,7 @@ Run:  python examples/three_level_comparison.py
 
 from __future__ import annotations
 
-from repro import paper_three_level, run_simulation
+from repro import Engine, paper_three_level
 from repro.hierarchy import IndependentScheme, ULCScheme, UnifiedLRUScheme
 from repro.util.tables import format_table
 from repro.workloads import tpcc1_like
@@ -31,7 +31,7 @@ def main() -> None:
         UnifiedLRUScheme([capacity] * 3),
         ULCScheme([capacity] * 3),
     ]:
-        result = run_simulation(scheme, trace, costs)
+        result = Engine(scheme, costs).drive(trace)
         rows.append(
             [
                 result.scheme,

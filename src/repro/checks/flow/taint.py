@@ -4,7 +4,7 @@ The shallow DET/SEED rules flag nondeterminism *sources* file by file;
 this pass answers the question that actually decides whether the result
 cache is sound: **can any source's value flow into a simulation, drive
 or hash entry point?** A wall-clock read in a CLI report is fine; the
-same read inside something :func:`run_simulation` can reach is a cached
+same read inside something :meth:`Engine.drive` can reach is a cached
 wrong answer waiting to happen.
 
 Sources (each carries its reason in the finding):
@@ -19,7 +19,8 @@ Sources (each carries its reason in the finding):
   set (hash-seeding-dependent order).
 
 Entry points are matched by name so the pass works on the live tree and
-on synthetic test packages alike: ``run_simulation``, ``run_specs``,
+on synthetic test packages alike: the ``Engine`` drives (``drive``,
+``drive_stream``, ``collect``, ``collect_stream``), ``run_specs``,
 ``sweep_server_size``, ``content_hash`` / ``spec_hash``, and ``access``
 / ``evict`` methods (the per-reference scheme hot paths).
 
@@ -51,7 +52,10 @@ _NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "BitGenerator",
                  "PCG64", "Philox", "SFC64", "MT19937"}
 
 #: Function names treated as simulation/drive/hash entry points.
-ENTRY_FUNCTION_NAMES = {"run_simulation", "run_specs", "sweep_server_size"}
+ENTRY_FUNCTION_NAMES = {
+    "drive", "drive_stream", "collect", "collect_stream",
+    "run_specs", "sweep_server_size",
+}
 ENTRY_METHOD_NAMES = {"access", "evict"}
 ENTRY_HASH_NAMES = {"content_hash", "spec_hash"}
 

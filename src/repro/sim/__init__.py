@@ -17,12 +17,7 @@ from repro.sim.congestion import (
     link_transfers_per_ref,
     saturation_rate,
 )
-from repro.sim.engine import (
-    DEFAULT_WARMUP,
-    Engine,
-    run_simulation,
-    run_with_collector,
-)
+from repro.sim.engine import DEFAULT_WARMUP, Engine
 from repro.sim.metrics import MetricsCollector
 from repro.sim.results import (
     TIMING_EXTRAS,
@@ -45,12 +40,10 @@ __all__ = [
     "SAN_MS",
     "DISK_MS",
     "Engine",
-    "run_simulation",
     "LinkLoad",
     "congested_access_time",
     "link_transfers_per_ref",
     "saturation_rate",
-    "run_with_collector",
     "DEFAULT_WARMUP",
     "MetricsCollector",
     "RunResult",

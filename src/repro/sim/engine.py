@@ -8,9 +8,10 @@ collecting metrics over the remainder.
 :class:`Engine` is the one drive entry point: construct it with a scheme
 (and a cost model for packaged results) and call :meth:`Engine.drive`
 for a :class:`~repro.sim.results.RunResult` or :meth:`Engine.collect`
-for the raw :class:`~repro.sim.metrics.MetricsCollector`. Both run the
-same internal loops, so warm-up handling and iteration order cannot
-diverge between them.
+for the raw :class:`~repro.sim.metrics.MetricsCollector`. Every entry
+point — in-memory traces and streaming sources alike — runs the one
+chunk-wise loop :func:`_drive_stream`, so warm-up handling and iteration
+order cannot diverge between them.
 
 ``batch_size`` selects the *batched* drive loop: the trace is cut into
 chunks and each chunk's leading stretch of pure level-1 hits is consumed
@@ -20,16 +21,10 @@ reference that is anything but a trivial hit falls back to the exact
 per-reference step. Results are bit-identical to the per-reference loop
 — the golden digests in ``tests/core/test_slab_equivalence.py`` pin
 this — batching only changes how fast the answer arrives.
-
-The former free functions :func:`run_simulation` and
-:func:`run_with_collector` survive as thin deprecated shims over
-:class:`Engine` (``repro check`` rule API002 keeps the tree itself off
-them).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Union
 
 import numpy as np
@@ -65,10 +60,9 @@ def _span_scalar(
     """Feed one contiguous span of references through ``scheme``,
     recording every event from local index ``warmup_local`` onward.
 
-    The span is the whole trace for :func:`_drive` (``warmup_local`` is
-    then the global warm-up count) and one chunk for
-    :func:`_drive_stream` (``warmup_local`` is the warm-up boundary
-    clamped into the chunk — 0 once warm-up is behind us).
+    The span is one chunk of :func:`_drive_stream` (``warmup_local`` is
+    the warm-up boundary clamped into the chunk — 0 once warm-up is
+    behind us).
 
     Zero-allocation iteration: the column arrays are walked through
     ``memoryview`` s, which yield plain Python ints per element (dict-key
@@ -207,50 +201,6 @@ def _span_batched(
                 index += 1
 
 
-def _drive(
-    scheme: MultiLevelScheme,
-    trace: Trace,
-    warmup_fraction: float,
-    metrics: MetricsCollector,
-) -> int:
-    """Feed the whole trace through ``scheme``, recording post-warm-up
-    events into ``metrics``; returns the warm-up reference count. One
-    whole-trace span through :func:`_span_scalar`.
-    """
-    check_fraction("warmup_fraction", warmup_fraction)
-    warmup_count = int(len(trace) * warmup_fraction)
-    _span_scalar(
-        scheme,
-        trace.blocks,
-        trace.clients if trace.clients.any() else None,
-        warmup_count,
-        metrics,
-    )
-    return warmup_count
-
-
-def _drive_batched(
-    scheme: MultiLevelScheme,
-    trace: Trace,
-    warmup_fraction: float,
-    metrics: MetricsCollector,
-    batch_size: int,
-) -> int:
-    """The batched drive loop: bit-identical to :func:`_drive`. One
-    whole-trace span through :func:`_span_batched`."""
-    check_fraction("warmup_fraction", warmup_fraction)
-    warmup_count = int(len(trace) * warmup_fraction)
-    _span_batched(
-        scheme,
-        trace.blocks,
-        trace.clients if trace.clients.any() else None,
-        warmup_count,
-        metrics,
-        batch_size,
-    )
-    return warmup_count
-
-
 # repro: bound O(n) amortized -- chunks partition the stream and
 # each span loop visits every reference of its chunk once
 def _drive_stream(
@@ -261,15 +211,14 @@ def _drive_stream(
     batch_size: Optional[int],
     chunk_size: int,
 ) -> int:
-    """Chunk-wise drive over a streaming source; returns the warm-up
-    reference count.
+    """Chunk-wise drive over an in-memory or streaming source; returns
+    the warm-up reference count.
 
-    Each chunk goes through the same span loops the materialised drives
-    use, with the global warm-up boundary clamped into the chunk
-    (``warmup_local``), so the recorded counters are bit-identical to
-    materialising the source and calling :func:`_drive` /
-    :func:`_drive_batched` — only peak memory differs: at most one
-    chunk of the reference stream is resident at a time (for an
+    Each chunk goes through a span loop with the global warm-up boundary
+    clamped into the chunk (``warmup_local``), so the recorded counters
+    do not depend on the chunking: an in-memory trace below
+    ``chunk_size`` references is one span, and a streaming source keeps
+    at most one chunk of the reference stream resident (for an
     mmap-backed :class:`~repro.workloads.io.ColumnarTrace`, a zero-copy
     view of the page cache). The per-chunk ``scalar_run`` backoff reset
     in the batched span changes probe cadence only, never results.
@@ -341,22 +290,6 @@ class Engine:
         self.costs = costs
         self.warmup_fraction = warmup_fraction
 
-    def _run(
-        self,
-        trace: Trace,
-        metrics: MetricsCollector,
-        batch_size: Optional[int],
-    ) -> int:
-        batch_size = _check_batch_size(batch_size)
-        scheme = self.scheme
-        if batch_size is not None and getattr(
-            scheme, "supports_batch", False
-        ):
-            return _drive_batched(
-                scheme, trace, self.warmup_fraction, metrics, batch_size
-            )
-        return _drive(scheme, trace, self.warmup_fraction, metrics)
-
     def drive(
         self, trace: Trace, *, batch_size: Optional[int] = None
     ) -> RunResult:
@@ -367,23 +300,7 @@ class Engine:
         :attr:`~MultiLevelScheme.supports_batch`; ``None`` runs the
         per-reference loop. The results are identical either way.
         """
-        if self.costs is None:
-            raise ConfigurationError(
-                "Engine.drive needs a cost model: construct the Engine "
-                "with costs=..., or use Engine.collect for raw counters"
-            )
-        metrics = MetricsCollector(
-            self.scheme.num_levels, self.scheme.num_clients
-        )
-        warmup_count = self._run(trace, metrics, batch_size)
-        return result_from_metrics(
-            self.scheme.name,
-            trace.info.name,
-            list(self.scheme.capacities),
-            metrics,
-            self.costs,
-            warmup_count,
-        )
+        return self.drive_stream(trace, batch_size=batch_size)
 
     def collect(
         self,
@@ -393,12 +310,10 @@ class Engine:
         collector: Optional[MetricsCollector] = None,
     ) -> MetricsCollector:
         """Drive ``trace`` and return the raw collector (tests,
-        custom analyses). Same loops as :meth:`drive`."""
-        metrics = collector or MetricsCollector(
-            self.scheme.num_levels, self.scheme.num_clients
+        custom analyses). Same loop as :meth:`drive`."""
+        return self.collect_stream(
+            trace, batch_size=batch_size, collector=collector
         )
-        self._run(trace, metrics, batch_size)
-        return metrics
 
     def drive_stream(
         self,
@@ -410,7 +325,7 @@ class Engine:
         """Drive a streaming source chunk-wise; return the measured
         result.
 
-        The streaming analogue of :meth:`drive`: ``source`` may be an
+        The streaming form of :meth:`drive`: ``source`` may be an
         on-disk :class:`~repro.workloads.io.ColumnarTrace` (or any
         :class:`~repro.workloads.io.StreamingTrace`) and is consumed
         one ``chunk_size`` span at a time — the full reference array is
@@ -420,8 +335,8 @@ class Engine:
         """
         if self.costs is None:
             raise ConfigurationError(
-                "Engine.drive_stream needs a cost model: construct the "
-                "Engine with costs=..., or use Engine.collect_stream "
+                "Engine.drive needs a cost model: construct the Engine "
+                "with costs=..., or use Engine.collect / collect_stream "
                 "for raw counters"
             )
         metrics = MetricsCollector(
@@ -449,35 +364,26 @@ class Engine:
         collector: Optional[MetricsCollector] = None,
     ) -> MetricsCollector:
         """Drive a streaming source chunk-wise and return the raw
-        collector. Same loops as :meth:`drive_stream`."""
-        metrics = collector or MetricsCollector(
-            self.scheme.num_levels, self.scheme.num_clients
-        )
+        collector. Same loop as :meth:`drive_stream`.
+
+        A ``collector`` passed in must have the scheme's number of
+        levels; any other shape raises :class:`ConfigurationError`.
+        """
+        scheme = self.scheme
+        if collector is None:
+            collector = MetricsCollector(
+                scheme.num_levels, scheme.num_clients
+            )
+        elif collector.num_levels != scheme.num_levels:
+            raise ConfigurationError(
+                f"collector has {collector.num_levels} levels but "
+                f"{scheme.name} has {scheme.num_levels}"
+            )
         _drive_stream(
-            self.scheme, source, self.warmup_fraction, metrics,
+            scheme, source, self.warmup_fraction, collector,
             _check_batch_size(batch_size), chunk_size,
         )
-        return metrics
-
-
-def run_simulation(
-    scheme: MultiLevelScheme,
-    trace: Trace,
-    costs: CostModel,
-    warmup_fraction: float = DEFAULT_WARMUP,
-) -> RunResult:
-    """Deprecated shim: use ``Engine(scheme, costs).drive(trace)``.
-
-    Kept (for one release) so existing callers continue to work; the
-    behaviour is identical to the Engine path it forwards to.
-    """
-    warnings.warn(
-        "run_simulation() is deprecated; use "
-        "Engine(scheme, costs, warmup_fraction=...).drive(trace)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Engine(scheme, costs, warmup_fraction=warmup_fraction).drive(trace)
+        return collector
 
 
 def result_from_metrics(
@@ -550,8 +456,9 @@ def _result_extras(metrics: MetricsCollector) -> dict:
         "evictions": float(metrics.evictions),
     }
     if metrics.num_clients > 1:
-        # Deprecated: the stringly clientN_* keys duplicate the typed
-        # RunResult.per_client entries and are kept for one release.
+        # The stringly clientN_* keys duplicate the typed
+        # RunResult.per_client entries; they stay while the pinned
+        # perfbench stream-multi hash covers them via comparable().
         for client in range(metrics.num_clients):
             refs = metrics.per_client_refs[client]
             misses = metrics.per_client_misses[client]
@@ -563,21 +470,3 @@ def _result_extras(metrics: MetricsCollector) -> dict:
                 metrics.per_client_demotions[client]
             )
     return extras
-
-
-def run_with_collector(
-    scheme: MultiLevelScheme,
-    trace: Trace,
-    warmup_fraction: float = DEFAULT_WARMUP,
-    collector: Optional[MetricsCollector] = None,
-) -> MetricsCollector:
-    """Deprecated shim: use ``Engine(scheme).collect(trace)``."""
-    warnings.warn(
-        "run_with_collector() is deprecated; use "
-        "Engine(scheme, warmup_fraction=...).collect(trace)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return Engine(scheme, warmup_fraction=warmup_fraction).collect(
-        trace, collector=collector
-    )

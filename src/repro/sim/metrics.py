@@ -164,7 +164,7 @@ class MetricsCollector:
         """Flat dict of every metric (for results/serialisation).
 
         The access-time decomposition matches
-        :func:`repro.sim.engine.run_simulation`:
+        :meth:`repro.sim.engine.Engine.drive`:
         ``t_hit_ms + t_miss_ms + t_demotion_ms + t_message_ms ==
         t_ave_ms`` holds exactly, control messages included.
         """

@@ -10,20 +10,20 @@ Two execution paths:
   :class:`repro.runner.WorkloadSpec`; every (scheme, size) point becomes
   a :class:`repro.runner.RunSpec` and the batch fans out over
   :func:`repro.runner.run_specs` honouring ``jobs`` / ``cache_dir``.
-- **Legacy path** (serial): pass scheme-builder callables and a live
-  :class:`~repro.workloads.base.Trace`, as before. Callables and live
-  traces cannot cross a process boundary or be content-hashed, so
-  ``jobs`` / ``cache_dir`` are ignored on this path.
+- **Live-trace path** (serial): pass the same
+  :class:`~repro.runner.SchemeSpec` schemes with a live
+  :class:`~repro.workloads.base.Trace`. A live trace cannot cross a
+  process boundary or be content-hashed, so ``jobs`` / ``cache_dir``
+  are ignored on this path.
 
 On either path, sweeps over the single-client LRU-family schemes
-(``unilru``, ``indlru`` — declared as :class:`~repro.runner.SchemeSpec`
-builders so they can be introspected) are *derived analytically*: one
+(``unilru``, ``indlru``) are *derived analytically*: one
 stack-distance profiling pass over the trace yields every server-size
 point at once (:mod:`repro.analysis.mrc`), bit-identical to the
 per-point simulations it replaces and an order of magnitude faster for
-many-point sweeps. Adaptive schemes (ULC, MQ ...), multi-client runs and
-legacy callables fall back to point simulation; ``use_mrc=False`` forces
-the fallback everywhere. Derived results flow through the same result
+many-point sweeps. Adaptive schemes (ULC, MQ ...) and multi-client runs
+fall back to point simulation; ``use_mrc=False`` forces the fallback
+everywhere. Derived results flow through the same result
 cache under the same spec hashes, so cached point runs and MRC-derived
 curves are interchangeable.
 """
@@ -31,18 +31,14 @@ curves are interchangeable.
 from __future__ import annotations
 
 import time  # repro: noqa DET001 -- wall-clock timing is metadata, not simulation output
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
-from repro.hierarchy.base import MultiLevelScheme
 from repro.sim.costs import CostModel
 from repro.sim.engine import DEFAULT_WARMUP, Engine
 from repro.sim.results import RunResult
 from repro.workloads.base import Trace
-
-SchemeBuilder = Callable[[List[int]], MultiLevelScheme]
 
 
 @dataclass(frozen=True)
@@ -131,11 +127,10 @@ def sweep_server_size(
 ) -> Dict[str, List[SweepPoint]]:
     """Run every scheme at every server size over ``trace``.
 
-    ``builders`` maps a scheme label to either a
-    :class:`repro.runner.SchemeSpec` (registry name + kwargs) or a
-    legacy callable building a fresh scheme from
-    ``[client_capacity, server_size]`` (fresh state per point — sweeps
-    never reuse warm caches). ``trace`` is correspondingly a
+    ``builders`` maps a scheme label to a
+    :class:`repro.runner.SchemeSpec` (registry name + kwargs), built
+    fresh at ``[client_capacity, server_size]`` for every point (sweeps
+    never reuse warm caches). ``trace`` is a
     :class:`repro.runner.WorkloadSpec` or a live
     :class:`~repro.workloads.base.Trace`.
 
@@ -162,10 +157,14 @@ def sweep_server_size(
 
     check_invariants = resolve_check_interval(check_invariants)
 
-    all_specs = builders and all(
+    if not all(
         isinstance(builder, SchemeSpec) for builder in builders.values()
-    )
-    if all_specs and isinstance(trace, WorkloadSpec):
+    ):
+        raise TypeError(
+            "sweep_server_size needs SchemeSpec builders; got "
+            f"{sorted({type(b).__name__ for b in builders.values()})}"
+        )
+    if isinstance(trace, WorkloadSpec):
         return _sweep_specs(
             builders,  # type: ignore[arg-type]
             trace,
@@ -181,20 +180,8 @@ def sweep_server_size(
         )
     if not isinstance(trace, Trace):
         raise TypeError(
-            "sweep_server_size needs a WorkloadSpec with SchemeSpec "
-            "builders, or a Trace; got "
-            f"{type(trace).__name__} with builder types "
-            f"{sorted({type(b).__name__ for b in builders.values()})}"
-        )
-    if any(
-        not isinstance(builder, SchemeSpec) for builder in builders.values()
-    ):
-        warnings.warn(
-            "legacy callable builders are deprecated; pass SchemeSpec "
-            "builders (with a WorkloadSpec trace) so sweeps can use the "
-            "executor, the result cache and the MRC shortcut",
-            DeprecationWarning,
-            stacklevel=2,
+            "sweep_server_size needs a WorkloadSpec or a Trace; got "
+            f"{type(trace).__name__}"
         )
 
     mrc_labels = _mrc_labels(builders, num_clients, use_mrc)
@@ -220,12 +207,9 @@ def sweep_server_size(
         for label, builder in builders.items():
             if label in mrc_labels:
                 continue
-            if isinstance(builder, SchemeSpec):
-                scheme = builder.build(
-                    [client_capacity, int(server_size)], num_clients
-                )
-            else:
-                scheme = builder([client_capacity, int(server_size)])
+            scheme = builder.build(  # type: ignore[attr-defined]
+                [client_capacity, int(server_size)], num_clients
+            )
             if check_invariants is not None:
                 from repro.checks import InvariantCheckedScheme
 

@@ -80,7 +80,7 @@ class TestDeepPass:
         pkg.mkdir()
         (pkg / "sim.py").write_text(
             "import random  # repro: noqa DET001 -- fixture\n\n"
-            "def run_simulation(trace):\n"
+            "def drive(trace):\n"
             "    return random.random()\n"
         )
         assert main(["check", str(pkg), "--deep",
@@ -236,7 +236,7 @@ class TestKernelPass:
         # one deep (FLOW001) and one kernel (KER004) finding
         (pkg / "sim.py").write_text(
             "import random  # repro: noqa DET001 -- fixture\n\n"
-            "def run_simulation(trace):\n"
+            "def drive(trace):\n"
             "    return random.random()\n"
         )
         (pkg / "scheme.py").write_text(
@@ -264,7 +264,7 @@ def _four_pass_fixture(tmp_path):
     (pkg / "__init__.py").write_text("")
     (pkg / "sim.py").write_text(
         "import random\n\n\n"
-        "def run_simulation(trace):\n"
+        "def drive(trace):\n"
         "    return random.random()\n"
     )
     (pkg / "scheme.py").write_text(

@@ -64,12 +64,12 @@ class TestTaintFLOW001:
             def jitter():
                 return random.random()
 
-            def run_simulation(trace):
+            def drive(trace):
                 return jitter() + len(trace)
         """})
         assert rules_of(findings) == ["FLOW001"]
         assert "random.random" in findings[0].message
-        assert "run_simulation" in findings[0].message
+        assert "sim.drive" in findings[0].message
         assert findings[0].line == 4
 
     def test_unreachable_source_is_not_flagged(self, tmp_path):
@@ -79,7 +79,7 @@ class TestTaintFLOW001:
             def report_banner():
                 return random.random()
 
-            def run_simulation(trace):
+            def drive(trace):
                 return len(trace)
         """})
         assert findings == []
@@ -107,7 +107,7 @@ class TestTaintFLOW001:
 
             FACTORIES = {"noisy": _noisy, "quiet": _quiet}
 
-            def run_simulation(name, caps):
+            def drive(name, caps):
                 factory = FACTORIES[name]
                 return factory(caps)
         """})
@@ -116,7 +116,7 @@ class TestTaintFLOW001:
 
     def test_set_iteration_flagged_and_list_order_safe(self, tmp_path):
         findings = flow(tmp_path, {"sim.py": """\
-            def run_simulation(trace):
+            def drive(trace):
                 labels = {"a", "b"}
                 total = 0
                 for label in labels:
@@ -133,7 +133,7 @@ class TestTaintFLOW001:
         findings = flow(tmp_path, {"sim.py": """\
             import time
 
-            def run_simulation(trace):
+            def drive(trace):
                 t0 = time.perf_counter()  # repro: noqa FLOW001 -- timing metadata only
                 return len(trace) + 0 * t0
         """})
@@ -147,7 +147,7 @@ class TestTaintFLOW001:
                 def step(self, block):
                     return random.random()
 
-            def run_simulation(trace):
+            def drive(trace):
                 scheme = Scheme()
                 step = scheme.step
                 total = 0.0
@@ -169,7 +169,7 @@ class TestTaintFLOW001:
             "engine.py": """\
                 from pkg.util import salt
 
-                def run_simulation(trace):
+                def drive(trace):
                     return salt() + str(len(trace))
             """,
         })
@@ -432,11 +432,11 @@ class TestLiveTree:
         assert report.findings == []
 
     def test_call_graph_resolves_drive_fanout(self):
-        # _drive consumes the trace chunk-wise and delegates each span
-        # to the scalar/batched helpers; the dynamic scheme dispatch is
-        # resolved one hop below it.
+        # _drive_stream consumes the trace chunk-wise and delegates each
+        # span to the scalar/batched helpers; the dynamic scheme
+        # dispatch is resolved one hop below it.
         project, graph = analyze([SRC_REPRO])
-        drive = "repro.sim.engine._drive"
+        drive = "repro.sim.engine._drive_stream"
         callees = {site.callee for site in graph.successors(drive)}
         assert "repro.sim.engine._span_scalar" in callees
         span = {
@@ -449,4 +449,7 @@ class TestLiveTree:
     def test_entry_points_present(self):
         project, _ = analyze([SRC_REPRO])
         names = {f.name for f in project.functions.values()}
-        assert {"run_simulation", "run_specs", "spec_hash"} <= names
+        assert {
+            "drive", "drive_stream", "collect", "collect_stream",
+            "run_specs", "sweep_server_size", "spec_hash",
+        } <= names

@@ -22,7 +22,7 @@ from repro.checks import (
 from repro.core.events import AccessEvent, Demotion
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hierarchy import ULCScheme, UnifiedLRUScheme
-from repro.sim import run_simulation
+from repro.sim import Engine
 from repro.sim.costs import paper_two_level
 from repro.util.fenwick import FenwickTree
 from tests.util.ostree import OrderStatisticTree
@@ -107,11 +107,10 @@ class TestTransparency:
     def test_checked_run_result_is_identical(self):
         trace = zipf_trace(num_blocks=150, num_refs=2_000, seed=11)
         costs = paper_two_level()
-        plain = run_simulation(ULCScheme([32, 64]), trace, costs)
-        checked = run_simulation(
-            InvariantCheckedScheme(ULCScheme([32, 64]), every=1),
-            trace, costs,
-        )
+        plain = Engine(ULCScheme([32, 64]), costs).drive(trace)
+        checked = Engine(
+            InvariantCheckedScheme(ULCScheme([32, 64]), every=1), costs
+        ).drive(trace)
         assert checked == plain
 
     def test_wrapper_adopts_inner_name(self):

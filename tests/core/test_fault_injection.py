@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core import ULCMultiSystem
 from repro.errors import ConfigurationError
-from repro.sim import paper_three_level, paper_two_level, run_simulation
+from repro.sim import Engine, paper_three_level, paper_two_level
 from repro.hierarchy.ulc import ULCMultiScheme
 from repro.workloads import db2_like
 
@@ -114,7 +114,7 @@ class TestNoticeLoss:
                 notice_loss_rate=loss,
                 notice_loss_seed=3,
             )
-            result = run_simulation(scheme, trace, costs)
+            result = Engine(scheme, costs).drive(trace)
             rates[loss] = result.total_hit_rate
         assert rates[1.0] <= rates[0.0] + 0.02
         assert rates[1.0] > 0.5 * rates[0.0]  # graceful, not collapse

@@ -176,16 +176,12 @@ class TestPerClient:
 
 class TestSweepSpecPath:
     def test_spec_sweep_matches_legacy_sweep(self):
-        from repro.hierarchy import IndependentScheme, ULCScheme
         from repro.runner import materialize_trace
 
         trace = materialize_trace(WORKLOAD)
         costs = paper_two_level()
         legacy = sweep_server_size(
-            {
-                "indLRU": lambda caps: IndependentScheme(caps),
-                "ULC": lambda caps: ULCScheme(caps),
-            },
+            {"indLRU": SchemeSpec("indlru"), "ULC": SchemeSpec("ulc")},
             trace,
             client_capacity=16,
             server_sizes=[24, 48],

@@ -61,13 +61,13 @@ def test_hit_and_miss_rates_partition_unity(blocks, scheme_name):
 def test_run_simulation_matches_manual_replay(blocks):
     """run_simulation's RunResult equals a by-hand replay with the same
     warm-up split."""
-    from repro.sim import run_simulation
+    from repro.sim import Engine
 
     trace = Trace(blocks)
     costs = paper_two_level()
-    result = run_simulation(
-        make_scheme("ulc", [3, 5]), trace, costs, warmup_fraction=0.1
-    )
+    result = Engine(
+        make_scheme("ulc", [3, 5]), costs, warmup_fraction=0.1
+    ).drive(trace)
     scheme = make_scheme("ulc", [3, 5])
     metrics = MetricsCollector(2)
     warm = int(len(blocks) * 0.1)

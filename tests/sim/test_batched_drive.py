@@ -1,4 +1,4 @@
-"""The batched drive loop: bit-identical results, deprecation shims.
+"""The batched drive loop: bit-identical results.
 
 The batch-API redesign promises that ``Engine.drive(trace,
 batch_size=...)`` produces the *same* ``RunResult`` — down to the
@@ -11,8 +11,7 @@ every scheme (batch-capable or not). These tests pin that promise:
 - scalar-vs-batched on single- and multi-client schemes across batch
   sizes chosen to straddle warm-up and trace boundaries;
 - plus the facade contract: validation of ``batch_size``, ``drive``
-  without costs, and the ``DeprecationWarning`` shims the API002 check
-  rule keeps the tree itself off.
+  without costs, and collectors that do not match the scheme.
 """
 
 from __future__ import annotations
@@ -30,8 +29,12 @@ from repro.hierarchy import (
     ULCScheme,
     UnifiedLRUScheme,
 )
-from repro.sim import Engine, paper_three_level, paper_two_level
-from repro.sim.engine import run_simulation, run_with_collector
+from repro.sim import (
+    Engine,
+    MetricsCollector,
+    paper_three_level,
+    paper_two_level,
+)
 from repro.workloads import Trace, zipf_trace
 from tests.core.golden_core import result_hash
 
@@ -165,29 +168,22 @@ class TestFacadeContract:
         )
         assert metrics.references > 0
 
-    def test_run_simulation_shim_warns_and_matches(self):
-        trace = zipf_trace(num_blocks=64, num_refs=500, seed=2)
-        costs = paper_two_level()
-        with pytest.warns(DeprecationWarning, match="run_simulation"):
-            legacy = run_simulation(ULCScheme([8, 16]), trace, costs)
-        modern = Engine(ULCScheme([8, 16]), costs).drive(trace)
-        assert result_hash(legacy) == result_hash(modern)
+    @pytest.mark.parametrize("levels", [1, 3])
+    def test_collector_with_other_level_count_rejected(self, levels):
+        # A 3-level collector under a 2-level scheme would report the
+        # evictions out of the hierarchy as boundary-2 demotions; a
+        # 1-level one would fail mid-run with an IndexError.
+        engine = Engine(ULCScheme([8, 16]))
+        trace = zipf_trace(200, 5000, seed=1)
+        for collect in (engine.collect, engine.collect_stream):
+            with pytest.raises(ConfigurationError, match="levels"):
+                collect(trace, collector=MetricsCollector(levels))
 
-    def test_run_with_collector_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="run_with_collector"):
-            metrics = run_with_collector(ULCScheme([4, 4]), Trace([1, 2, 1]))
-        assert metrics.references > 0
-
-    def test_legacy_sweep_builders_warn(self):
-        from repro.sim import sweep_server_size
-
-        trace = zipf_trace(num_blocks=64, num_refs=400, seed=3)
-        with pytest.warns(DeprecationWarning, match="legacy callable"):
-            points = sweep_server_size(
-                {"uniLRU": lambda caps: UnifiedLRUScheme(caps)},
-                trace,
-                8,
-                [16, 32],
-                paper_two_level(),
-            )
-        assert len(points["uniLRU"]) == 2
+    def test_matching_collector_is_filled_in_place(self):
+        trace = zipf_trace(200, 5000, seed=1)
+        expected = Engine(ULCScheme([8, 16])).collect(trace)
+        collector = MetricsCollector(2)
+        engine = Engine(ULCScheme([8, 16]))
+        assert engine.collect(trace, collector=collector) is collector
+        assert collector.boundary_demotions == expected.boundary_demotions
+        assert collector.references == expected.references

@@ -6,14 +6,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.hierarchy import IndependentScheme, ULCScheme, UnifiedLRUScheme
+from repro.runner import SchemeSpec
 from repro.sim import (
+    Engine,
     RunResult,
     best_of,
     load_results,
     paper_three_level,
     paper_two_level,
-    run_simulation,
-    run_with_collector,
     save_results,
     sweep_server_size,
 )
@@ -24,9 +24,9 @@ class TestEngine:
     def test_warmup_excluded_from_metrics(self):
         trace = Trace([1, 2, 3, 1, 1, 1, 1, 1, 1, 1])
         scheme = IndependentScheme([4, 4])
-        result = run_simulation(
-            scheme, trace, paper_two_level(), warmup_fraction=0.3
-        )
+        result = Engine(
+            scheme, paper_two_level(), warmup_fraction=0.3
+        ).drive(trace)
         assert result.warmup_references == 3
         assert result.references == 7
         # All measured references hit the client cache.
@@ -35,26 +35,24 @@ class TestEngine:
 
     def test_zero_warmup(self):
         trace = Trace([1, 1])
-        result = run_simulation(
-            IndependentScheme([2, 2]), trace, paper_two_level(),
-            warmup_fraction=0.0,
-        )
+        result = Engine(
+            IndependentScheme([2, 2]), paper_two_level(), warmup_fraction=0.0
+        ).drive(trace)
         assert result.references == 2
         assert result.miss_rate == pytest.approx(0.5)
 
     def test_invalid_warmup(self):
         with pytest.raises(ConfigurationError):
-            run_simulation(
+            Engine(
                 IndependentScheme([2, 2]),
-                Trace([1]),
                 paper_two_level(),
                 warmup_fraction=2.0,
-            )
+            ).drive(Trace([1]))
 
     def test_result_fields(self):
         trace = zipf_trace(50, 2000, seed=1)
         scheme = ULCScheme([8, 8, 8])
-        result = run_simulation(scheme, trace, paper_three_level())
+        result = Engine(scheme, paper_three_level()).drive(trace)
         assert result.scheme == "ULC"
         assert result.workload == "zipf"
         assert result.capacities == [8, 8, 8]
@@ -71,9 +69,9 @@ class TestEngine:
 
     def test_run_with_collector(self):
         trace = Trace([1, 1, 2])
-        metrics = run_with_collector(
-            IndependentScheme([2, 2]), trace, warmup_fraction=0.0
-        )
+        metrics = Engine(
+            IndependentScheme([2, 2]), warmup_fraction=0.0
+        ).collect(trace)
         assert metrics.references == 3
         assert metrics.total_hit_rate == pytest.approx(1 / 3)
 
@@ -81,15 +79,15 @@ class TestEngine:
         """End-to-end reproduction of the tpcc1 pathology: 100% boundary-1
         demotion rate for uniLRU on a loop spanning both levels."""
         trace = looping_trace(30, 3000)
-        result = run_simulation(
-            UnifiedLRUScheme([10, 25]), trace, paper_two_level(),
-            warmup_fraction=0.1,
-        )
+        result = Engine(
+            UnifiedLRUScheme([10, 25]), paper_two_level(), warmup_fraction=0.1
+        ).drive(trace)
         assert result.demotion_rates[0] == pytest.approx(1.0)
-        ulc = run_simulation(
-            ULCScheme([10, 25], templru_capacity=0), trace, paper_two_level(),
+        ulc = Engine(
+            ULCScheme([10, 25], templru_capacity=0),
+            paper_two_level(),
             warmup_fraction=0.1,
-        )
+        ).drive(trace)
         assert ulc.demotion_rates[0] < 0.1
         assert ulc.t_ave_ms < result.t_ave_ms
 
@@ -97,10 +95,9 @@ class TestEngine:
 class TestResultsIO:
     def test_roundtrip(self, tmp_path):
         trace = Trace([1, 2, 1, 2])
-        result = run_simulation(
-            IndependentScheme([1, 1]), trace, paper_two_level(),
-            warmup_fraction=0.0,
-        )
+        result = Engine(
+            IndependentScheme([1, 1]), paper_two_level(), warmup_fraction=0.0
+        ).drive(trace)
         path = tmp_path / "results.json"
         save_results([result], path)
         loaded = load_results(path)
@@ -125,8 +122,8 @@ class TestSweep:
     def test_sweep_runs_every_point(self):
         trace = zipf_trace(60, 3000, seed=2)
         builders = {
-            "indLRU": lambda caps: IndependentScheme(caps),
-            "ULC": lambda caps: ULCScheme(caps, templru_capacity=0),
+            "indLRU": SchemeSpec("indlru"),
+            "ULC": SchemeSpec("ulc", {"templru_capacity": 0}),
         }
         series = sweep_server_size(
             builders, trace, client_capacity=8,
@@ -144,8 +141,8 @@ class TestSweep:
     def test_best_of_selects_minimum(self):
         trace = zipf_trace(60, 2000, seed=3)
         builders = {
-            "a": lambda caps: IndependentScheme(caps),
-            "b": lambda caps: ULCScheme(caps, templru_capacity=0),
+            "a": SchemeSpec("indlru"),
+            "b": SchemeSpec("ulc", {"templru_capacity": 0}),
         }
         series = sweep_server_size(
             builders, trace, 8, [8], paper_two_level()

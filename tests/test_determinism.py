@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import run_figure6, run_figure7, run_section2
-from repro.sim import paper_two_level, run_simulation
+from repro.sim import Engine, paper_two_level
 from repro.hierarchy import make_scheme
 from repro.workloads import make_large_workload, make_multi_workload
 
@@ -53,7 +53,7 @@ class TestSchemeDeterminism:
                 costs = paper_three_level()
             else:
                 costs = paper_two_level()
-            results.append(run_simulation(scheme, trace, costs))
+            results.append(Engine(scheme, costs).drive(trace))
         assert results[0].t_ave_ms == results[1].t_ave_ms
         assert results[0].level_hit_rates == results[1].level_hit_rates
         assert results[0].demotion_rates == results[1].demotion_rates

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.hierarchy import available_schemes, make_scheme
-from repro.sim import paper_three_level, paper_two_level, run_simulation
+from repro.sim import Engine, paper_three_level, paper_two_level
 from repro.workloads import (
     classify_pattern,
     describe,
@@ -28,7 +28,7 @@ class TestSingleClientPipeline:
         costs = (
             paper_two_level() if len(levels) == 2 else paper_three_level()
         )
-        result = run_simulation(scheme, trace, costs)
+        result = Engine(scheme, costs).drive(trace)
         # Accounting coherence.
         assert result.total_hit_rate + result.miss_rate == pytest.approx(1.0)
         assert result.t_ave_ms == pytest.approx(
@@ -42,15 +42,15 @@ class TestSingleClientPipeline:
 
     def test_scheme_ordering_end_to_end(self, trace):
         costs = paper_three_level()
-        t_ind = run_simulation(
-            make_scheme("indlru", [40, 40, 40]), trace, costs
-        ).t_ave_ms
-        t_uni = run_simulation(
-            make_scheme("unilru", [40, 40, 40]), trace, costs
-        ).t_ave_ms
-        t_ulc = run_simulation(
-            make_scheme("ulc", [40, 40, 40]), trace, costs
-        ).t_ave_ms
+        t_ind = Engine(
+            make_scheme("indlru", [40, 40, 40]), costs
+        ).drive(trace).t_ave_ms
+        t_uni = Engine(
+            make_scheme("unilru", [40, 40, 40]), costs
+        ).drive(trace).t_ave_ms
+        t_ulc = Engine(
+            make_scheme("ulc", [40, 40, 40]), costs
+        ).drive(trace).t_ave_ms
         assert t_ulc < t_uni < t_ind
 
     def test_oracle_bounds_everything(self, trace):
@@ -59,21 +59,19 @@ class TestSingleClientPipeline:
         from repro.hierarchy import AggregateOPTOracle
 
         costs = paper_three_level()
-        opt = run_simulation(
-            AggregateOPTOracle([40, 40, 40], trace.blocks.tolist()),
-            trace,
-            costs,
-        )
+        opt = Engine(
+            AggregateOPTOracle([40, 40, 40], trace.blocks.tolist()), costs
+        ).drive(trace)
         for name in ("indlru", "unilru", "ulc"):
-            online = run_simulation(
-                make_scheme(name, [40, 40, 40]), trace, costs
-            )
+            online = Engine(
+                make_scheme(name, [40, 40, 40]), costs
+            ).drive(trace)
             assert opt.total_hit_rate >= online.total_hit_rate - 1e-9, name
 
     def test_filtered_stream_feeds_back_into_simulation(self, trace):
         filtered = filter_through_cache(trace, 40)
         scheme = make_scheme("ulc", [40, 40])
-        result = run_simulation(scheme, filtered, paper_two_level())
+        result = Engine(scheme, paper_two_level()).drive(filtered)
         assert result.references > 0
 
 
@@ -99,12 +97,12 @@ class TestMultiClientPipeline:
                     if len(levels) == 3
                     else paper_two_level()
                 )
-                result = run_simulation(scheme, trace, costs)
+                result = Engine(scheme, costs).drive(trace)
                 assert 0 <= result.total_hit_rate <= 1, name
 
     def test_per_client_extras_present(self, trace):
         scheme = make_scheme("ulc", [16, 64], num_clients=trace.num_clients)
-        result = run_simulation(scheme, trace, paper_two_level())
+        result = Engine(scheme, paper_two_level()).drive(trace)
         for client in range(trace.num_clients):
             assert f"client{client}_hit_rate" in result.extras
         total_refs = sum(
