@@ -48,8 +48,7 @@ class RunResult:
     (``t_message_ms`` is the control-message share, which older versions
     folded into ``t_demotion_ms``). Multi-client runs carry one
     :class:`ClientStats` per client in ``per_client`` (the stringly
-    ``extras["clientN_*"]`` keys are deprecated duplicates, kept for one
-    release).
+    ``extras["clientN_*"]`` keys duplicate them as flat floats).
     """
 
     scheme: str

@@ -155,3 +155,10 @@ class TestSweep:
 
     def test_best_of_empty(self):
         assert best_of({}) == []
+
+    def test_callable_builders_rejected(self):
+        with pytest.raises(TypeError, match="SchemeSpec"):
+            sweep_server_size(
+                {"ULC": lambda caps: ULCScheme(caps)},
+                zipf_trace(60, 500, seed=1), 8, [8], paper_two_level(),
+            )
