@@ -84,11 +84,6 @@ class LIRSPolicy(ReplacementPolicy):
     def __len__(self) -> int:
         return self._resident_count()
 
-    def _drop_entry(self, block: Block) -> None:
-        self._stack.pop(block, None)
-        self._queue.pop(block, None)
-        del self._state[block]
-
     # repro: bound O(1) amortized -- each popped HIR entry was pushed
     # onto the LIRS stack exactly once, so pruning is prepaid
     def _prune_stack(self) -> None:
@@ -222,12 +217,11 @@ class LIRSPolicy(ReplacementPolicy):
 
     def remove(self, block: Block) -> None:
         self._require_resident(block)
-        if self._state[block] == _LIR:
+        self._stack.pop(block, None)
+        self._queue.pop(block, None)
+        if self._state.pop(block) == _LIR:
             self._lir_count -= 1
-            self._drop_entry(block)
             self._prune_stack()
-        else:
-            self._drop_entry(block)
 
     # repro: bound O(n) -- pure prediction: the degenerate all-LIR
     # case walks the stack snapshot without pruning it

@@ -23,9 +23,9 @@ point at once (:mod:`repro.analysis.mrc`), bit-identical to the
 per-point simulations it replaces and an order of magnitude faster for
 many-point sweeps. Adaptive schemes (ULC, MQ ...) and multi-client runs
 fall back to point simulation; ``use_mrc=False`` forces the fallback
-everywhere. Derived results flow through the same result
-cache under the same spec hashes, so cached point runs and MRC-derived
-curves are interchangeable.
+everywhere. Derived results flow through the same result cache under the
+same spec hashes, so cached point runs and MRC-derived curves are
+interchangeable.
 """
 
 from __future__ import annotations
