@@ -154,7 +154,7 @@ class ARCPolicy(ReplacementPolicy):
             )
         if not 0.0 <= self._p <= capacity:
             raise ProtocolError(f"arc: adaptation target p={self._p} outside [0, c]")
-        distinct = set().union(*(lst for _, lst in self._named_lists()))
+        distinct = {block for _, lst in self._named_lists() for block in lst}
         if len(distinct) != tracked:
             raise ProtocolError(
                 f"arc: {tracked - len(distinct)} blocks sit in more than one list"
