@@ -2,7 +2,7 @@
 
 The load-bearing property is *bit-identity*: every hit rate, demotion
 rate and time component of an MRC-derived sweep point must equal — as
-floats, not approximately — what per-capacity ``run_simulation`` + the
+floats, not approximately — what per-capacity ``Engine.drive`` + the
 live scheme produce. These tests pin that equivalence for the LRU-family
 schemes on the seed synthetic workloads, warm-up included, plus the
 profiling kernel itself against a reference implementation and the

@@ -59,7 +59,7 @@ def test_hit_and_miss_rates_partition_unity(blocks, scheme_name):
 @settings(max_examples=20, deadline=None)
 @given(blocks=st.lists(st.integers(0, 15), min_size=20, max_size=200))
 def test_run_simulation_matches_manual_replay(blocks):
-    """run_simulation's RunResult equals a by-hand replay with the same
+    """Engine.drive's RunResult equals a by-hand replay with the same
     warm-up split."""
     from repro.sim import Engine
 
