@@ -53,7 +53,7 @@ from repro.checks.flow.baseline import (
     apply_baseline,
     load_baseline,
 )
-from repro.checks.flow.project import Project
+from repro.checks.flow.project import Project, as_project
 
 #: Bounds-pass rules, for ``--list-rules`` and ``--select`` validation.
 BOUNDS_RULES: Dict[str, str] = {
@@ -90,13 +90,14 @@ class BoundsReport:
 
 
 def run_bounds_checks(
-    paths: Sequence[Union[str, Path]],
+    project: Union[Project, Sequence[Union[str, Path]]],
     select: Optional[Sequence[str]] = None,
     baseline_path: Optional[Union[str, Path]] = None,
 ) -> BoundsReport:
-    """Run the cost-bound pass over ``paths`` and subtract the
-    baseline. ``select`` limits rules; ``None`` runs all BND rules."""
-    project = Project(paths)
+    """Run the cost-bound pass over ``project`` (a built project, or the
+    files and directories to build one from) and subtract the baseline.
+    ``select`` limits rules; ``None`` runs all BND rules."""
+    project = as_project(project)
     wanted = set(select) if select is not None else set(BOUNDS_RULES)
 
     findings = run_bounds_analysis(project, wanted)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 class Cost(enum.IntEnum):
@@ -200,22 +200,23 @@ def parse_bound(comment: str, lineno: int, col: int) -> Optional[Bound]:
     )
 
 
-def collect_bounds(source: str) -> List[Bound]:
-    """Every ``# repro: bound`` annotation in ``source``, in line
-    order, parsed (possibly with ``problem`` set)."""
-    from repro.checks.engine import _comment_tokens
-
+def collect_bounds(comments: Iterable[Tuple[int, int, str]]) -> List[Bound]:
+    """Every ``# repro: bound`` annotation among a file's comment tokens
+    (``(lineno, col, text)``, in line order), parsed (possibly with
+    ``problem`` set)."""
     out: List[Bound] = []
-    for lineno, col, comment in _comment_tokens(source):
+    for lineno, col, comment in comments:
         bound = parse_bound(comment, lineno, col)
         if bound is not None:
             out.append(bound)
     return out
 
 
-def bounds_by_line(source: str) -> Dict[int, Bound]:
+def bounds_by_line(
+    comments: Iterable[Tuple[int, int, str]]
+) -> Dict[int, Bound]:
     """Line → annotation (last one wins on a pathological double)."""
-    return {bound.lineno: bound for bound in collect_bounds(source)}
+    return {bound.lineno: bound for bound in collect_bounds(comments)}
 
 
 __all__ = [

@@ -40,7 +40,6 @@ from repro.checks.flow.project import (
     attribute_chain,
     param_annotations,
 )
-from repro.checks.flow.taint import mod_suppressions
 
 #: Spec-class methods allowed to read any field: they define the hash
 #: payload or rebuild/normalise the instance.
@@ -143,7 +142,7 @@ def unsound_read_findings(project: Project) -> List[Finding]:
             if key in seen:
                 continue
             seen.add(key)
-            codes = mod_suppressions(mod).get(node.lineno, ())
+            codes = mod.file.suppressions.get(node.lineno, ())
             if codes is None or "FLOW002" in codes:  # type: ignore[operator]
                 continue
             findings.append(Finding(

@@ -39,7 +39,6 @@ from repro.checks.flow.project import (
     Project,
     attribute_chain,
 )
-from repro.checks.flow.taint import mod_suppressions
 
 #: Builtin container builders that allocate (``tuple`` exempt: the
 #: protocol's event tuples are part of its return contract).
@@ -123,7 +122,7 @@ def hotpath_findings(project: Project, graph: CallGraph) -> List[Finding]:
             if key in seen:
                 return
             seen.add(key)
-            codes = mod_suppressions(mod).get(lineno, ())
+            codes = mod.file.suppressions.get(lineno, ())
             if codes is None or "FLOW004" in codes:  # type: ignore[operator]
                 return
             findings.append(Finding(

@@ -16,10 +16,24 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.checks.engine import iter_python_files
+from repro.checks.engine import SourceFile, iter_python_files
+
+if TYPE_CHECKING:
+    from repro.checks.flow.callgraph import CallGraph
+    from repro.checks.kernel.model import ClassModel
 
 #: Marker comment promising a function allocates nothing per call; the
 #: hot-path lint (FLOW004) treats it as a root of the hot set.
@@ -94,11 +108,12 @@ class ClassInfo:
 class ModuleInfo:
     """One parsed source file plus the symbol tables the pass needs."""
 
-    def __init__(self, path: Union[str, Path], modname: str) -> None:
-        self.path = str(path)
+    def __init__(self, file: SourceFile, modname: str) -> None:
+        self.file = file
+        self.path = file.path
         self.modname = modname
-        self.source = Path(path).read_text(encoding="utf-8")
-        self.tree = ast.parse(self.source, filename=self.path)
+        self.source = file.source
+        self.tree = file.tree
         self.lines = self.source.splitlines()
         #: ``import x.y as z`` → ``{"z": "x.y"}``; collected at every
         #: nesting level (function-local imports are common here).
@@ -281,15 +296,23 @@ class ModuleInfo:
 
 
 class Project:
-    """Every analysed module plus cross-module indexes."""
+    """Every analysed module plus cross-module indexes.
 
-    def __init__(self, paths: Sequence[Union[str, Path]]) -> None:
+    ``paths`` holds files and directories to read, or files the engine
+    already read and parsed. The call graph and the kernel class models
+    are built on first use and shared by every pass over the project.
+    """
+
+    def __init__(self, paths: Sequence[Union[str, Path, SourceFile]]) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
-        for file_path in iter_python_files(paths):
-            modname, _root = module_name_for(file_path)
-            if modname in self.modules:
-                continue
-            self.modules[modname] = ModuleInfo(file_path, modname)
+        for entry in paths:
+            files = [entry] if isinstance(entry, SourceFile) else [
+                SourceFile(path) for path in iter_python_files([entry])
+            ]
+            for file in files:
+                modname, _root = module_name_for(Path(file.path))
+                if modname not in self.modules:
+                    self.modules[modname] = ModuleInfo(file, modname)
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
@@ -309,6 +332,22 @@ class Project:
         for cls in self.classes.values():
             for base in cls.base_names:
                 self.subclasses.setdefault(base, []).append(cls)
+
+    @cached_property
+    def call_graph(self) -> CallGraph:
+        """The project-wide call graph (see
+        :func:`repro.checks.flow.callgraph.build_call_graph`)."""
+        from repro.checks.flow.callgraph import build_call_graph
+
+        return build_call_graph(self)
+
+    @cached_property
+    def class_models(self) -> Dict[str, ClassModel]:
+        """Class qualname → slot-space model (see
+        :func:`repro.checks.kernel.model.build_class_models`)."""
+        from repro.checks.kernel.model import build_class_models
+
+        return build_class_models(self)
 
     # -- symbol resolution -------------------------------------------------
 
@@ -401,6 +440,14 @@ class Project:
                 if found is not None:
                     return found
         return None
+
+
+def as_project(
+    target: Union[Project, Sequence[Union[str, Path]]]
+) -> Project:
+    """``target`` when it is a built project, else the project over
+    those files and directories."""
+    return target if isinstance(target, Project) else Project(target)
 
 
 def annotation_class_names(annotation: Optional[ast.expr]) -> List[str]:

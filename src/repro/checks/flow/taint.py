@@ -81,18 +81,8 @@ def is_entry_point(func: FunctionInfo) -> bool:
 
 
 def _suppressed(mod: ModuleInfo, lineno: int, rule: str) -> bool:
-    codes = mod_suppressions(mod).get(lineno, ())
+    codes = mod.file.suppressions.get(lineno, ())
     return codes is None or rule in codes  # type: ignore[operator]
-
-
-def mod_suppressions(mod: ModuleInfo) -> Dict[int, Optional[Set[str]]]:
-    cached = getattr(mod, "_noqa_table", None)
-    if cached is None:
-        from repro.checks.engine import _suppressions
-
-        cached = _suppressions(mod.source)
-        mod._noqa_table = cached  # type: ignore[attr-defined]
-    return cached
 
 
 def _is_set_expression(node: ast.AST) -> bool:

@@ -39,7 +39,7 @@ from repro.checks.flow.baseline import (
     apply_baseline,
     load_baseline,
 )
-from repro.checks.flow.project import Project
+from repro.checks.flow.project import Project, as_project
 from repro.checks.kernel.batch import run_batch_contract
 from repro.checks.kernel.typestate import KernelChecker, run_typestate
 
@@ -78,13 +78,14 @@ class KernelReport:
 
 
 def run_kernel_checks(
-    paths: Sequence[Union[str, Path]],
+    project: Union[Project, Sequence[Union[str, Path]]],
     select: Optional[Sequence[str]] = None,
     baseline_path: Optional[Union[str, Path]] = None,
 ) -> KernelReport:
-    """Run the slot-typestate pass over ``paths`` and subtract the
+    """Run the slot-typestate pass over ``project`` (a built project, or
+    the files and directories to build one from) and subtract the
     baseline. ``select`` limits rules; ``None`` runs all KER rules."""
-    project = Project(paths)
+    project = as_project(project)
     wanted = set(select) if select is not None else set(KERNEL_RULES)
 
     findings: List[Finding] = []

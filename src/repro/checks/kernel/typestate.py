@@ -54,7 +54,6 @@ from repro.checks.kernel.model import (
     Role,
     SlabRole,
     UNLINKING_METHODS,
-    build_class_models,
     build_summaries,
     method_summary,
     resolve_role,
@@ -150,7 +149,7 @@ class KernelChecker:
     def __init__(self, project: Project, select: Optional[Set[str]] = None):
         self.project = project
         self.select = select
-        self.models = build_class_models(project)
+        self.models = project.class_models
         self.summaries = build_summaries(project, self.models)
         self.findings: List[Finding] = []
         self._seen: Set[Tuple[str, int, str, str]] = set()

@@ -1,0 +1,163 @@
+"""One ``run_checks`` run reads, parses and models the tree once.
+
+The differential tests pin that sharing the parsed files, the project
+model and its call graph between the passes changes no finding: the
+merged ``--all`` findings equal the sorted union of the shallow run and
+the three standalone pass entry points, each of which builds its own
+model from paths. The work-count tests pin the sharing itself.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import textwrap
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.checks.kernel.model as kernel_model
+from repro.checks import run_checks
+from repro.checks.bounds import run_bounds_checks
+from repro.checks.engine import iter_python_files
+from repro.checks.flow import (
+    DEFAULT_BASELINE,
+    run_flow_checks,
+    write_baseline,
+)
+from repro.checks.flow.callgraph import CallGraph
+from repro.checks.flow.project import Project
+from repro.checks.kernel import run_kernel_checks
+from repro.errors import ConfigurationError
+from tests.checks import test_bounds, test_kernel
+from tests.checks.test_check_cli import _four_pass_fixture
+
+SRC_REPRO = Path(repro.__file__).resolve().parent
+
+PASS_ENTRY_POINTS = (run_flow_checks, run_kernel_checks, run_bounds_checks)
+
+
+def _cost_mutant(tmp_path: Path, mutation) -> Path:
+    _name, src, dst, _rule = mutation
+    mutated = textwrap.dedent(test_bounds.TOY_POLICY).replace(src, dst)
+    return test_bounds.write_pkg(tmp_path, {"toy.py": mutated})
+
+
+def _splice_mutant(tmp_path: Path, mutation) -> Path:
+    _name, src, dst, _rule = mutation
+    mutated = textwrap.dedent(test_kernel.TOY_CONSUMER).replace(src, dst)
+    return test_kernel.write_pkg(tmp_path, {"toy.py": mutated})
+
+
+FIXTURES = (
+    [pytest.param(lambda tmp_path: SRC_REPRO, id="src-repro"),
+     pytest.param(_four_pass_fixture, id="four-pass")]
+    + [
+        pytest.param(
+            lambda tmp_path, m=mutation: _cost_mutant(tmp_path, m),
+            id=f"cost-{mutation[0]}",
+        )
+        for mutation in test_bounds.COST_MUTATIONS
+    ]
+    + [
+        pytest.param(
+            lambda tmp_path, m=mutation: _splice_mutant(tmp_path, m),
+            id=f"splice-{mutation[0]}",
+        )
+        for mutation in test_kernel.SPLICE_MUTATIONS
+    ]
+)
+
+
+class TestMergedRunMatchesSeparatePasses:
+    @pytest.mark.parametrize("build", FIXTURES)
+    def test_raw_findings_are_identical(self, tmp_path, build):
+        root = build(tmp_path)
+        merged = run_checks(
+            [root], deep=True, kernel=True, bounds=True, baseline=os.devnull
+        )
+        separate = run_checks([root], baseline=os.devnull).findings
+        for run in PASS_ENTRY_POINTS:
+            separate += run([root], baseline_path=os.devnull).findings
+        # Finding equality covers rule, path, line, col, message, steps.
+        assert merged.findings == sorted(separate)
+        if root is not SRC_REPRO:
+            assert merged.findings, "fixture has no finding to compare"
+
+    def test_baseline_counts_are_identical(self, tmp_path):
+        root = _four_pass_fixture(tmp_path)
+        baseline = tmp_path / "baseline.json"
+        write_baseline(run_checks(
+            [root], deep=True, kernel=True, bounds=True, baseline=os.devnull
+        ).findings, baseline)
+        merged = run_checks(
+            [root], deep=True, kernel=True, bounds=True, baseline=baseline
+        )
+        separate = run_checks([root], baseline=baseline).baseline_suppressed
+        for run in PASS_ENTRY_POINTS:
+            separate += run([root], baseline_path=baseline).baseline_suppressed
+        assert merged.findings == []
+        assert merged.baseline_suppressed == separate > 0
+
+
+def _count_work(monkeypatch) -> Counter:
+    """Count file reads, parses, tokenizer runs and model builds."""
+    counts: Counter = Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[key(*args, **kwargs)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Path, "read_text", lambda path, *a, **k: ("read", str(path)))
+    count(ast, "parse", lambda source, filename="<unknown>", *a, **k: (
+        "parse", str(filename)
+    ))
+    count(tokenize, "generate_tokens", lambda *a, **k: "tokenize")
+    count(Project, "__init__", lambda *a, **k: "project")
+    count(CallGraph, "__init__", lambda *a, **k: "call graph")
+    count(kernel_model, "build_class_models", lambda *a, **k: "class models")
+    return counts
+
+
+class TestWorkCounts:
+    def test_all_run_does_each_piece_of_work_once(self, monkeypatch):
+        files = [str(path) for path in iter_python_files([SRC_REPRO])]
+        counts = _count_work(monkeypatch)
+        report = run_checks([SRC_REPRO], deep=True, kernel=True, bounds=True)
+        assert report.findings == []
+        assert {f: counts[("read", f)] for f in files} == dict.fromkeys(
+            files, 1
+        )
+        parses = {key[1]: n for key, n in counts.items()
+                  if isinstance(key, tuple) and key[0] == "parse"}
+        assert parses == dict.fromkeys(files, 1)
+        assert counts["tokenize"] == len(files)
+        assert counts[("read", str(DEFAULT_BASELINE))] == 1
+        assert counts["project"] == 1
+        assert counts["call graph"] == 1
+        assert counts["class models"] == 1
+
+    def test_shallow_run_builds_no_project(self, monkeypatch):
+        counts = _count_work(monkeypatch)
+        run_checks([SRC_REPRO])
+        assert counts["project"] == 0
+        assert counts["call graph"] == 0
+        assert counts["class models"] == 0
+
+
+@pytest.mark.parametrize("run", PASS_ENTRY_POINTS,
+                         ids=lambda run: run.__name__)
+def test_pass_entry_points_reject_unparsable_file(tmp_path, run):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "broken.py").write_text("def f(:\n    pass\n")
+    with pytest.raises(ConfigurationError, match="cannot parse"):
+        run([pkg], baseline_path=os.devnull)
