@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from repro.checks.findings import Finding
+from repro.errors import ConfigurationError
 
 #: Default committed baseline location.
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "baseline.json"
@@ -37,18 +38,33 @@ def fingerprint(finding: Finding) -> str:
 
 
 def load_baseline(path: Union[str, Path] = DEFAULT_BASELINE) -> Dict[str, str]:
-    """Fingerprint → description map; empty when absent/unreadable."""
+    """Fingerprint → description map; empty when ``path`` is not a
+    regular file (missing, or ``/dev/null``).
+
+    Raises:
+        ConfigurationError: the file is unreadable or is not
+            ``{"findings": {fingerprint: description}}`` — a corrupt
+            baseline must not silently subtract nothing.
+    """
     baseline_path = Path(path)
     if not baseline_path.is_file():
         return {}
     try:
         data = json.loads(baseline_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(
+            f"cannot read findings baseline {path}: {exc}"
+        ) from exc
     entries = data.get("findings") if isinstance(data, dict) else None
-    if not isinstance(entries, dict):
-        return {}
-    return {str(k): str(v) for k, v in entries.items()}
+    if not isinstance(entries, dict) or not all(
+        isinstance(value, str) for value in entries.values()
+    ):
+        raise ConfigurationError(
+            f"findings baseline {path} is not "
+            f'{{"findings": {{fingerprint: description}}}}; regenerate '
+            f"it with 'repro check --all --update-baseline'"
+        )
+    return entries
 
 
 def write_baseline(

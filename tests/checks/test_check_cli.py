@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.cli import main
 
@@ -66,6 +68,49 @@ class TestCheckCommand:
         err = capsys.readouterr().err
         assert "KER999" in err
         assert "--list-rules" in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--all"],
+        ["--update-hash-schema", "--hash-schema", "schema.json"],
+    ], ids=["all", "update-hash-schema"])
+    def test_unparsable_file_exits_two(self, tmp_path, capsys, flags):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "__init__.py").write_text("")
+        (pkg / "broken.py").write_text("def f(:\n    pass\n")
+        flags = [str(tmp_path / f) if f.endswith(".json") else f
+                 for f in flags]
+        assert main(["check", str(pkg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse" in err
+        assert "broken.py" in err
+
+    @pytest.mark.parametrize("content", [
+        "not json",
+        "[]",
+        '{"findings": []}',
+        '{"findings": {"abc": 1}}',
+    ], ids=["not-json", "not-an-object", "list-findings", "non-str-entry"])
+    def test_corrupt_baseline_exits_two(self, tmp_path, capsys, content):
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(content)
+        assert main(["check", str(SRC_REPRO / "core"),
+                     "--baseline", str(baseline)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "baseline" in err
+
+    @pytest.mark.parametrize(
+        "baseline", ["missing.json", "/dev/null"], ids=["missing", "devnull"]
+    )
+    def test_absent_baseline_is_empty(self, tmp_path, capsys, baseline):
+        bad = tmp_path / "bad.py"
+        bad.write_text("import random\n")
+        path = baseline if baseline.startswith("/") else str(
+            tmp_path / baseline
+        )
+        assert main(["check", str(bad), "--baseline", path]) == 1
+        assert "DET001" in capsys.readouterr().out
 
 
 class TestDeepPass:
@@ -357,6 +402,44 @@ class TestAllPasses:
         # the dominating loop nest rides along as a codeFlow
         flow = bnd["codeFlows"][0]["threadFlows"][0]["locations"]
         assert len(flow) >= 2
+
+    def test_baseline_round_trip_uses_hash_schema(self, tmp_path, capsys):
+        # FLOW003 must be baselined against the manifest the check run
+        # compares with, not the committed default.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        spec = pkg / "spec.py"
+        spec.write_text(
+            "SPEC_VERSION = 1\n\n\n"
+            "class FooSpec:\n"
+            "    scheme: str\n\n"
+            "    def to_dict(self):\n"
+            "        return {\"scheme\": self.scheme}\n"
+        )
+        manifest = tmp_path / "schema.json"
+        assert main(["check", str(pkg), "--update-hash-schema",
+                     "--hash-schema", str(manifest)]) == 0
+        # a hashed field added without a SPEC_VERSION bump
+        spec.write_text(spec.read_text().replace(
+            "    scheme: str\n", "    scheme: str\n    size: int\n"
+        ).replace(
+            '{"scheme": self.scheme}',
+            '{"scheme": self.scheme, "size": self.size}',
+        ))
+        baseline = tmp_path / "baseline.json"
+        assert main(["check", str(pkg), "--all", "--update-baseline",
+                     "--baseline", str(baseline),
+                     "--hash-schema", str(manifest)]) == 0
+        capsys.readouterr()
+        entries = json.loads(baseline.read_text())["findings"].values()
+        assert any(
+            e.startswith("FLOW003 ") and "without a SPEC_VERSION bump" in e
+            for e in entries
+        )
+        assert main(["check", str(pkg), "--all",
+                     "--baseline", str(baseline),
+                     "--hash-schema", str(manifest)]) == 0
+        assert "0 finding(s)" in capsys.readouterr().out
 
     def test_four_pass_baseline_round_trip(self, tmp_path, capsys):
         pkg = _four_pass_fixture(tmp_path)
