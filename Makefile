@@ -1,14 +1,18 @@
 # Developer entry points. CI runs the same commands (see
 # .github/workflows/ci.yml); `make check` is the local equivalent of the
-# lint + check-deep jobs. ruff/mypy are optional extras — install with
-# `pip install ruff mypy` (the repro passes need only the package).
+# lint + check-deep jobs: lint, then every repro check pass (shallow,
+# deep, kernel, bounds) in one `--all` run over one parse of the tree.
+# The single-pass targets stay for iterating on one pass. ruff/mypy are
+# optional extras — install with `pip install ruff mypy` (the repro
+# passes need only the package).
 
 PYTHON ?= python
 
 .PHONY: check check-shallow check-deep check-kernel check-bounds lint \
 	test bench bench-batched mrc-approx perfbench-check baseline hash-schema
 
-check: lint check-shallow check-deep check-kernel check-bounds
+check: lint
+	$(PYTHON) -m repro check src/repro --all
 
 check-shallow:
 	$(PYTHON) -m repro check src/repro
