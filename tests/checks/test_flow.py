@@ -15,7 +15,6 @@ import pytest
 
 import repro
 from repro.checks.flow import (
-    analyze,
     fingerprint,
     run_flow_checks,
     write_baseline,
@@ -435,7 +434,7 @@ class TestLiveTree:
         # _drive_stream consumes the trace chunk-wise and delegates each
         # span to the scalar/batched helpers; the dynamic scheme
         # dispatch is resolved one hop below it.
-        project, graph = analyze([SRC_REPRO])
+        graph = Project([SRC_REPRO]).call_graph
         drive = "repro.sim.engine._drive_stream"
         callees = {site.callee for site in graph.successors(drive)}
         assert "repro.sim.engine._span_scalar" in callees
@@ -447,7 +446,7 @@ class TestLiveTree:
         assert "repro.sim.metrics.MetricsCollector.record" in span
 
     def test_entry_points_present(self):
-        project, _ = analyze([SRC_REPRO])
+        project = Project([SRC_REPRO])
         names = {f.name for f in project.functions.values()}
         assert {
             "drive", "drive_stream", "collect", "collect_stream",
