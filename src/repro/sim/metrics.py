@@ -51,29 +51,34 @@ class MetricsCollector:
         Raises:
             ProtocolError: when ``event.client`` is outside
                 ``[0, num_clients)`` — silently remapping would
-                misattribute per-client statistics.
+                misattribute per-client statistics. A rejected event
+                leaves every counter unchanged.
         """
-        self.references += 1
-        client = event.client
+        (_, client, hit_level, from_temp, _, demotions, evicted,
+         messages) = event
         if not 0 <= client < self.num_clients:
             raise ProtocolError(
                 f"event for client {client} recorded by a collector "
                 f"tracking {self.num_clients} client(s)"
             )
+        self.references += 1
         self.per_client_refs[client] += 1
-        if event.hit_level is None:
+        if hit_level is None:
             self.misses += 1
             self.per_client_misses[client] += 1
         else:
-            self.level_hits[event.hit_level - 1] += 1
-        if event.served_from_temp:
+            self.level_hits[hit_level - 1] += 1
+        if from_temp:
             self.temp_hits += 1
-        for demotion in event.demotions:
-            if demotion.dst <= self.num_levels:
-                self.boundary_demotions[demotion.src - 1] += 1
-                self.per_client_demotions[client] += 1
-        self.evictions += len(event.evicted)
-        self.control_messages += event.control_messages
+        if demotions:
+            for demotion in demotions:
+                if demotion.dst <= self.num_levels:
+                    self.boundary_demotions[demotion.src - 1] += 1
+                    self.per_client_demotions[client] += 1
+        if evicted:
+            self.evictions += len(evicted)
+        if messages:
+            self.control_messages += messages
 
     def record_l1_hits(self, client: int, count: int) -> None:
         """Fold ``count`` pure level-1 hits by ``client`` into the counters.

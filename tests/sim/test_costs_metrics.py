@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.events import AccessEvent, Demotion
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.sim import (
     BLOCK_BYTES,
     CostModel,
@@ -134,3 +134,14 @@ class TestMetricsCollector:
         metrics.record(AccessEvent(block=2, client=1))
         assert metrics.per_client_refs == [1, 1]
         assert metrics.per_client_misses == [0, 1]
+
+    @pytest.mark.parametrize("client", [-1, 2])
+    def test_rejected_event_leaves_counters_unchanged(self, client):
+        metrics = MetricsCollector(2, num_clients=2)
+        metrics.record(AccessEvent(block=1, client=0, hit_level=1))
+        before = metrics.summary(paper_two_level())
+        with pytest.raises(ProtocolError):
+            metrics.record(AccessEvent(block=2, client=client, hit_level=1))
+        assert metrics.summary(paper_two_level()) == before
+        assert metrics.hit_rate(1) == 1.0
+        assert metrics.references == sum(metrics.per_client_refs)
