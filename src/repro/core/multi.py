@@ -51,15 +51,15 @@ below is the paper's protocol:
 
 from __future__ import annotations
 
-from collections import ChainMap
+from collections import ChainMap, OrderedDict
 from dataclasses import dataclass
 from typing import Container, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.events import AccessEvent, Demotion
+from repro.core.protocol import check_templru
 from repro.core.stack import UniLRUStack
 from repro.errors import ConfigurationError, ProtocolError
 from repro.policies.base import Block
-from repro.policies.lru import LRUPolicy
 from repro.util.intlist import SENTINEL, IntLinkedList
 from repro.util.rng import make_rng
 from repro.util.validation import (
@@ -302,9 +302,9 @@ class ULCMultiClient:
             max_size=max_metadata,
         )
         self.capacity = capacity
-        self._temp: Optional[LRUPolicy] = (
-            LRUPolicy(templru_capacity) if templru_capacity > 0 else None
-        )
+        # The tempLRU, least recent first; never holds a level-1 block.
+        self.templru_capacity = templru_capacity
+        self._temp: OrderedDict[Block, None] = OrderedDict()
         # Kernel-caller handles for the fused access path (the stack's
         # level lists; see the intlist kernel contract).
         self._l1 = self.stack._levels[0]
@@ -346,15 +346,24 @@ class ULCMultiClient:
         ``count_notice_messages`` is added to the event's control-message
         count (used by the immediate-notification ablation). Like
         :meth:`repro.core.protocol.ULCClient.access`, the whole protocol
-        runs in one fused frame with positional event construction.
+        runs in one fused frame with positional event construction, and
+        a block cached at level 1 takes the first branch: it is never in
+        the tempLRU and its recency region is 1, so the reference only
+        re-ranks it, with no tier effects.
         """
         stack = self.stack
+        node = stack._nodes.get(block)
+        if node is not None and node.level == 1:
+            stack.touch(node, 1)
+            return AccessEvent(
+                block, self.client_id, 1, False, 1, (), (),
+                count_notice_messages,
+            )
         tiers = self.tiers
         temp = self._temp
         client_id = self.client_id
         l1 = self._l1
-        node = stack._nodes.get(block)
-        in_temp = temp is not None and block in temp
+        in_temp = block in temp
         out = stack.out_level
 
         demotions: Tuple[Demotion, ...] = ()
@@ -379,7 +388,7 @@ class ULCMultiClient:
                 region += 1
 
         # -- where is the block actually served from? ---------------------
-        if in_temp or level_status == 1:
+        if in_temp:
             hit_level: Optional[int] = 1
         elif level_status == out:
             hit_level = None  # disk
@@ -446,14 +455,15 @@ class ULCMultiClient:
             demotions, (), count_notice_messages,
         )
         # Maintain the tempLRU of blocks passing through uncached.
-        if temp is not None:
-            if placed == 1:
-                if in_temp:
-                    temp.remove(block)
-            elif in_temp:
-                temp.touch(block)
-            else:
-                temp.insert(block)
+        if placed == 1:
+            if in_temp:
+                del temp[block]
+        elif in_temp:
+            temp.move_to_end(block)
+        elif self.templru_capacity:
+            temp[block] = None
+            if len(temp) > self.templru_capacity:
+                temp.popitem(last=False)
         return event
 
     # repro: bound O(1) -- the cascade descends at most the configured
@@ -485,18 +495,20 @@ class ULCMultiClient:
         return demotions
 
     def check_invariants(self) -> None:
-        """Validate stack invariants (tests).
+        """Validate stack and tempLRU invariants (tests).
 
         The shared-level views are elastic: one may transiently exceed
         its tier's capacity by the number of undelivered eviction
         notices (stale entries), so capacity is checked for level 1
-        only.
+        only. The tempLRU holds at most ``templru_capacity`` blocks and
+        no level-1 block.
         """
         self.stack.check_invariants(enforce_capacity=False)
         if self.stack.level_size(1) > self.capacity:
             raise ProtocolError(
                 f"client {self.client_id} cache over capacity"
             )
+        check_templru(self.stack, self._temp, self.templru_capacity)
 
 
 class ULCMultiSystem:
@@ -570,10 +582,10 @@ class ULCMultiSystem:
         self._access_by_client = tuple(
             engine.access for engine in self.clients
         )
-        # (node index, stack touch, tempLRU) per client for the batched
-        # hit-run kernel — all three are fixed for the system's lifetime.
+        # (node index, stack touch) per client for the batched hit-run
+        # kernel — both are fixed for the system's lifetime.
         self._hit_run_handles = tuple(
-            (engine.stack._nodes, engine.stack.touch, engine._temp)
+            (engine.stack._nodes, engine.stack.touch)
             for engine in self.clients
         )
 
@@ -623,11 +635,10 @@ class ULCMultiSystem:
 
         ``clients`` and ``blocks`` are parallel arrays. A reference is a
         trivial hit when its client has no pending eviction notices and
-        the block is tracked at that client's level 1 outside the
-        tempLRU: the fused :meth:`ULCMultiClient.access` then reduces to
+        the block is tracked at that client's level 1: the fused
+        :meth:`ULCMultiClient.access` then takes its first branch,
         ``stack.touch(node, 1)`` with no server effects, demotions or
-        messages (a level-1 node's recency region is 1 by the yardstick
-        construction). Stops before the first reference needing the full
+        messages. Stops before the first reference needing the full
         protocol; returns the number consumed.
         """
         handles = self._hit_run_handles
@@ -646,11 +657,9 @@ class ULCMultiSystem:
                 break
             if client in pending:
                 break
-            nodes, touch, temp = handles[client]
+            nodes, touch = handles[client]
             node = nodes.get(block)
             if node is None or node.level != 1:
-                break
-            if temp is not None and block in temp:
                 break
             touch(node, 1)
             count += 1

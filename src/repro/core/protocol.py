@@ -27,13 +27,13 @@ costs are attached later by the simulator.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import List, Optional, Sequence
 
 from repro.core.events import AccessEvent, Demotion
 from repro.core.stack import UniLRUStack
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.policies.base import Block
-from repro.policies.lru import LRUPolicy
 from repro.util.validation import check_int, check_non_negative
 
 
@@ -60,9 +60,10 @@ class ULCClient:
         self.stack = UniLRUStack(capacities, max_size=max_metadata)
         self.capacities = self.stack.capacities
         self.num_levels = self.stack.num_levels
-        self._temp: Optional[LRUPolicy] = (
-            LRUPolicy(templru_capacity) if templru_capacity > 0 else None
-        )
+        # The tempLRU: pass-through blocks in recency order, least
+        # recent first. A level-1 block is never in it (see access).
+        self.templru_capacity = templru_capacity
+        self._temp: OrderedDict[Block, None] = OrderedDict()
 
     # -- queries -------------------------------------------------------------
 
@@ -87,11 +88,20 @@ class ULCClient:
         once, and events are built positionally (field order is part of
         the :class:`AccessEvent` contract). The logic is exactly the
         decision rule from the module docstring.
+
+        A tracked level-1 block takes the first branch. It is never in
+        the tempLRU (a block placed at level 1 leaves the tempLRU, and
+        only a reference places a block at level 1), and a level-1 node
+        is at or above yardstick ``Y_1`` (the tail of ``LRU_1``), so its
+        recency region is 1: the ``i == j`` case with no temp activity.
         """
         stack = self.stack
-        temp = self._temp
         node = stack._nodes.get(block)
-        in_temp = temp is not None and block in temp
+        if node is not None and node.level == 1:
+            stack.touch(node, 1)
+            return AccessEvent(block, client, 1, False, 1)
+        temp = self._temp
+        in_temp = block in temp
 
         if node is None:
             event = self._access_untracked(block, client, in_temp)
@@ -113,10 +123,8 @@ class ULCClient:
                     block, client, 1 if in_temp else None, in_temp, fill_level
                 )
             elif region == level_status:
-                # i == j: the block stays at its level; no cascade runs
-                # (its own slot absorbs its re-insertion). Hits at the
-                # cached level (or disk for an L_out block — unreachable
-                # here since region < out implies level_status < out).
+                # i == j at a lower level: the block stays there; no
+                # cascade runs (its own slot absorbs its re-insertion).
                 stack.touch(node, region)
                 event = AccessEvent(
                     block, client, 1 if in_temp else level_status, in_temp,
@@ -152,24 +160,22 @@ class ULCClient:
 
         # Maintain the tempLRU holding blocks that pass through the
         # client without being cached at level 1.
-        if temp is not None:
-            if event.placed_level == 1:
-                if in_temp:
-                    temp.remove(block)
-            elif in_temp:
-                temp.touch(block)
-            else:
-                temp.insert(block)
+        if event.placed_level == 1:
+            if in_temp:
+                del temp[block]
+        elif in_temp:
+            temp.move_to_end(block)
+        elif self.templru_capacity:
+            temp[block] = None
+            if len(temp) > self.templru_capacity:
+                temp.popitem(last=False)
         return event
 
     def access_hit_run(self, blocks: Sequence[Block]) -> int:  # repro: hot
         """Fast-forward through a leading stretch of pure level-1 hits.
 
-        A reference is a *pure* level-1 hit when its block is tracked at
-        level 1 and not sitting in the tempLRU: a level-1 node is always
-        at or above yardstick ``Y_1`` (it is in the ``LRU_1`` list, whose
-        tail *is* the yardstick), so its recency region is 1 and
-        :meth:`access` would take the ``i == j`` branch — exactly
+        A reference to a block tracked at level 1 is a *pure* level-1
+        hit: :meth:`access` takes its first branch — exactly
         ``stack.touch(node, 1)``, an event with ``hit_level=1``/
         ``placed_level=1`` and no demotions, evictions, temp activity or
         messages. This loop performs just that touch per reference and
@@ -178,7 +184,6 @@ class ULCClient:
         """
         stack = self.stack
         nodes = stack._nodes
-        temp = self._temp
         touch = stack.touch
         count = 0
         if hasattr(blocks, "tolist"):
@@ -189,8 +194,6 @@ class ULCClient:
         for block in blocks:
             node = nodes.get(block)
             if node is None or node.level != 1:
-                break
-            if temp is not None and block in temp:
                 break
             touch(node, 1)
             count += 1
@@ -213,10 +216,34 @@ class ULCClient:
     # -- diagnostics ----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Validate the underlying stack invariants (tests)."""
+        """Validate the stack and tempLRU invariants (tests).
+
+        Besides the stack's own invariants: no level is over capacity,
+        the tempLRU holds at most ``templru_capacity`` blocks, and no
+        level-1 block is in it (the first branch of :meth:`access`
+        rests on that).
+        """
         self.stack.check_invariants()
         for level in range(1, self.num_levels + 1):
             if self.stack.level_size(level) > self.capacities[level - 1]:
                 raise ConfigurationError(
                     f"level {level} over capacity after access"
                 )
+        check_templru(self.stack, self._temp, self.templru_capacity)
+
+
+def check_templru(
+    stack: UniLRUStack, temp: OrderedDict[Block, None], capacity: int
+) -> None:
+    """Raise :class:`ProtocolError` when the tempLRU holds more than
+    ``capacity`` blocks or holds a block cached at level 1."""
+    if len(temp) > capacity:
+        raise ProtocolError(
+            f"tempLRU holds {len(temp)} blocks, capacity {capacity}"
+        )
+    for block in temp:
+        node = stack.lookup(block)
+        if node is not None and node.level == 1:
+            raise ProtocolError(
+                f"level-1 block {block!r} is in the tempLRU"
+            )

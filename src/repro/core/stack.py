@@ -274,7 +274,9 @@ class UniLRUStack:
         ``new_level`` (the block's recency region at access time, per the
         LLD rule). The splices below are the inlined kernel form of
         ``move_to_front`` + ``remove`` + ``push_front`` — this is the
-        hottest mutator in the library.
+        hottest mutator in the library. A same-level re-reference (the
+        ``i == j`` case, most references) is one ``move_to_front`` of
+        its level list instead.
         """
         slot = node.slot
         if slot < 0:
@@ -296,25 +298,39 @@ class UniLRUStack:
         self._seq += 1
         node.seq = self._seq
         old_level = node.level
-        if old_level != out:  # unlink from the old level list
-            lst = self._levels[old_level - 1]
-            lp, ln = lst.prev, lst.next
-            p, n = lp[slot], ln[slot]
-            ln[p] = n
-            lp[n] = p
-            lp[slot] = UNLINKED
-            ln[slot] = UNLINKED
-            lst.size -= 1
-        node.level = new_level
-        if new_level != out:  # push onto the new level's front
-            lst = self._levels[new_level - 1]
-            lp, ln = lst.prev, lst.next
-            first = ln[SENTINEL]
-            lp[slot] = SENTINEL
-            ln[slot] = first
-            lp[first] = slot
-            ln[SENTINEL] = slot
-            lst.size += 1
+        if old_level == new_level:
+            if new_level != out:  # move to the level list's front
+                lst = self._levels[new_level - 1]
+                lp, ln = lst.prev, lst.next
+                if ln[SENTINEL] != slot:
+                    p, n = lp[slot], ln[slot]
+                    ln[p] = n
+                    lp[n] = p
+                    first = ln[SENTINEL]
+                    lp[slot] = SENTINEL
+                    ln[slot] = first
+                    lp[first] = slot
+                    ln[SENTINEL] = slot
+        else:
+            if old_level != out:  # unlink from the old level list
+                lst = self._levels[old_level - 1]
+                lp, ln = lst.prev, lst.next
+                p, n = lp[slot], ln[slot]
+                ln[p] = n
+                lp[n] = p
+                lp[slot] = UNLINKED
+                ln[slot] = UNLINKED
+                lst.size -= 1
+            node.level = new_level
+            if new_level != out:  # push onto the new level's front
+                lst = self._levels[new_level - 1]
+                lp, ln = lst.prev, lst.next
+                first = ln[SENTINEL]
+                lp[slot] = SENTINEL
+                ln[slot] = first
+                lp[first] = slot
+                ln[SENTINEL] = slot
+                lst.size += 1
         # The node's departure from its old position may have exposed
         # L_out entries at the stack bottom (below the last yardstick).
         tail = gp[SENTINEL]

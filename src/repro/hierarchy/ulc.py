@@ -46,7 +46,7 @@ class ULCScheme(MultiLevelScheme):
 
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
-        return self.engine.access(block, client=client)
+        return self.engine.access(block, client)
 
     def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
         """Delegate to the engine's pure level-1 hit kernel."""
