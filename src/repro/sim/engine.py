@@ -41,12 +41,9 @@ from repro.workloads.io import DEFAULT_CHUNK_REFS, StreamingTrace, iter_chunks
 #: The paper's warm-up fraction ("the first one tenth of block references").
 DEFAULT_WARMUP = 0.1
 
-# Cap on the scalar back-off run between empty hit-run probes in the
-# batched drive: bounds the amortised probe cost on miss-heavy streams
-# (one O(batch_size) probe per _MAX_SCALAR_RUN references) while a
-# transition back into a hit stretch costs at most this many scalar
-# steps before the fast path re-engages.
-_MAX_SCALAR_RUN = 32
+# A hit-run probe that consumes at least this many references resets
+# the batched drive's scalar stretch to one reference.
+_LONG_HIT_RUN = 32
 
 
 # repro: hot
@@ -93,9 +90,9 @@ def _span_scalar(
 
 
 # repro: hot
-# repro: bound O(n) amortized -- consumed runs and single-stepped
-# references partition the span, and the doubling probe backoff
-# caps empty-probe overhead at a constant factor per reference
+# repro: bound O(n) amortized -- consumed runs and scalar stretches
+# partition the span, and the doubling stretch caps probe overhead
+# at a constant factor per reference
 def _span_batched(
     scheme: MultiLevelScheme,
     blocks_arr: np.ndarray,
@@ -107,49 +104,55 @@ def _span_batched(
     """One contiguous span through the batched loop: bit-identical to
     :func:`_span_scalar` over the same span.
 
-    Each window alternates between the scheme's ``access_hit_run`` fast
-    path (consume a stretch of pure level-1 hits, record them in bulk —
+    The loop alternates between a probe of the scheme's hit-run kernel
+    over a window of up to ``batch_size`` references (consume a stretch
+    of pure level-1 hits, record them in bulk —
     :meth:`MetricsCollector.record_l1_hits` is exactly n ``record``
-    calls for such events) and one exact per-reference ``access`` step
-    for the reference that stopped the run. Warm-up is handled by
-    clipping each consumed run against the warm-up boundary, so the
-    recorded counters match the split loops of :func:`_span_scalar`
-    reference for reference.
+    calls for such events) and a scalar stretch through
+    :func:`_span_scalar` from the reference that stopped the run.
+    Warm-up is handled by clipping each consumed run against the
+    warm-up boundary, so the recorded counters match the split loops of
+    :func:`_span_scalar` reference for reference.
 
-    Every hit-run kernel pays O(window) per probe (array conversion or
-    a bitmap gather over the whole window), so probing a full window
-    after every miss would make a miss-heavy stream O(n * batch_size).
-    Empty probes therefore back off: the loop single-steps a doubling
-    run of references (capped at ``_MAX_SCALAR_RUN``) between probes
-    until one consumes again. Single-stepped references go through the
-    exact ``access`` and runs are prefix-exact whatever the probe
-    cadence, so the backoff changes throughput only, never results.
+    The scalar stretch doubles, up to ``batch_size``, after each probe
+    that consumes fewer than ``_LONG_HIT_RUN`` references; a probe that
+    consumes that many, or its whole window, resets it to one
+    reference. Where level-1 hits come in long runs
+    the kernel takes them; where they come in short runs between
+    misses, the loop backs off onto the scalar path and probes once per
+    ``batch_size`` references. Stretches go through the exact
+    ``access`` and runs are prefix-exact whatever the probe cadence, so
+    the back-off changes throughput only, never results.
     """
     n = len(blocks_arr)
-    blocks = memoryview(blocks_arr)
-    access = scheme.access
-    record = metrics.record
-    record_hits = metrics.record_l1_hits
-    index = 0
-    if clients_arr is not None and clients_arr.any():
-        clients = memoryview(clients_arr)
-        run = scheme.access_hit_run_multi
+    if clients_arr is not None and not clients_arr.any():
+        clients_arr = None
+    if clients_arr is None:
+        run = scheme.access_hit_run
+    else:
+        run_multi = scheme.access_hit_run_multi
         num_clients = metrics.num_clients
-        scalar_run = 1
-        while index < n:
-            end = index + batch_size
-            if end > n:
-                end = n
-            consumed = run(
+    record_hits = metrics.record_l1_hits
+    stretch = 1
+    index = 0
+    while index < n:
+        end = index + batch_size
+        if end > n:
+            end = n
+        if clients_arr is None:
+            consumed = run(0, blocks_arr[index:end])
+        else:
+            consumed = run_multi(
                 clients_arr[index:end], blocks_arr[index:end]
             )
-            if consumed:
-                if consumed >= _MAX_SCALAR_RUN:
-                    scalar_run = 1
-                stop = index + consumed
-                measured_from = warmup_local if index < warmup_local \
-                    else index
-                if stop > measured_from:
+        if consumed:
+            stop = index + consumed
+            measured_from = warmup_local if index < warmup_local \
+                else index
+            if stop > measured_from:
+                if clients_arr is None:
+                    record_hits(0, stop - measured_from)
+                else:
                     per_client = np.bincount(
                         clients_arr[measured_from:stop],
                         minlength=num_clients,
@@ -157,48 +160,28 @@ def _span_batched(
                     for client, count in enumerate(per_client.tolist()):
                         if count:
                             record_hits(client, count)
-                index = stop
-                if index >= end:
-                    continue
-            else:
-                scalar_run = min(scalar_run * 2, _MAX_SCALAR_RUN)
-            stop = index + scalar_run
-            if stop > n:
-                stop = n
-            while index < stop:
-                event = access(clients[index], blocks[index])
-                if index >= warmup_local:
-                    record(event)
-                index += 1
-    else:
-        run = scheme.access_hit_run
-        scalar_run = 1
-        while index < n:
-            end = index + batch_size
-            if end > n:
-                end = n
-            consumed = run(0, blocks_arr[index:end])
-            if consumed:
-                if consumed >= _MAX_SCALAR_RUN:
-                    scalar_run = 1
-                stop = index + consumed
-                measured_from = warmup_local if index < warmup_local \
-                    else index
-                if stop > measured_from:
-                    record_hits(0, stop - measured_from)
-                index = stop
-                if index >= end:
-                    continue
-            else:
-                scalar_run = min(scalar_run * 2, _MAX_SCALAR_RUN)
-            stop = index + scalar_run
-            if stop > n:
-                stop = n
-            while index < stop:
-                event = access(0, blocks[index])
-                if index >= warmup_local:
-                    record(event)
-                index += 1
+            index = stop
+            if index >= end:
+                stretch = 1
+                continue
+        if consumed >= _LONG_HIT_RUN:
+            stretch = 1
+        elif stretch < batch_size:
+            stretch *= 2
+            if stretch > batch_size:
+                stretch = batch_size
+        stop = index + stretch
+        if stop > n:
+            stop = n
+        warm = warmup_local - index
+        _span_scalar(
+            scheme,
+            blocks_arr[index:stop],
+            None if clients_arr is None else clients_arr[index:stop],
+            warm if warm > 0 else 0,
+            metrics,
+        )
+        index = stop
 
 
 # repro: bound O(n) amortized -- chunks partition the stream and
