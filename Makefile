@@ -54,14 +54,19 @@ mrc-approx:
 		tests/analysis/test_mrc_approx.py -k tentpole_gate
 
 # The end-to-end benchmark's correctness checks (CI's perfbench-check
-# job): its own tests, then one short run of each stream workload, which
-# checks scalar = batched = in-memory drive and the pinned seed-1 result
-# hashes and exits 1 when a check fails.
+# job): its own tests, then one short run of each stream workload at
+# seeds 1 and 2. Every run checks scalar = batched = in-memory drive;
+# the seed-1 runs also check the pinned result hashes (seed 2 has
+# none). A failed check exits 1.
 perfbench-check:
 	$(PYTHON) -m pytest -q perfbench/tests
 	$(PYTHON) perfbench/run.py --workload stream-single --seed 1 \
 		--seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload stream-multi --seed 1 \
+		--seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload stream-single --seed 2 \
+		--seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload stream-multi --seed 2 \
 		--seconds 1 --trace 0
 
 # Maintenance: regenerate the check-pass artefacts after reviewing
