@@ -13,14 +13,19 @@ point — in-memory traces and streaming sources alike — runs the one
 chunk-wise loop :func:`_drive_stream`, so warm-up handling and iteration
 order cannot diverge between them.
 
-``batch_size`` selects the *batched* drive loop: the trace is cut into
-chunks and each chunk's leading stretch of pure level-1 hits is consumed
-by the scheme's ``access_hit_run`` kernel (vectorised for the
-array-backed schemes) and folded into the metrics in bulk; the first
-reference that is anything but a trivial hit falls back to the exact
-per-reference step. Results are bit-identical to the per-reference loop
-— the golden digests in ``tests/core/test_slab_equivalence.py`` pin
-this — batching only changes how fast the answer arrives.
+``batch_size`` selects the *batched* drive loop: it probes the
+scheme's ``access_hit_run`` kernel over a window of up to
+``batch_size`` references, folds the leading stretch of pure level-1
+hits the kernel consumed into the metrics in bulk, and runs the
+references from the first one that is anything but a trivial hit
+through the per-reference loop. That scalar stretch doubles, up to
+``batch_size``, while probes consume little, so the kernels pay on
+long all-hit stretches (a warm indLRU client cache) and a trace whose
+level-1 hits come in short runs between misses (the Figure-6/7 stream
+traces under ULC) runs at scalar speed. Results are bit-identical to
+the per-reference loop — the golden digests in
+``tests/core/test_slab_equivalence.py`` pin this — batching only
+changes how fast the answer arrives.
 """
 
 from __future__ import annotations
@@ -203,8 +208,9 @@ def _drive_stream(
     ``chunk_size`` references is one span, and a streaming source keeps
     at most one chunk of the reference stream resident (for an
     mmap-backed :class:`~repro.workloads.io.ColumnarTrace`, a zero-copy
-    view of the page cache). The per-chunk ``scalar_run`` backoff reset
-    in the batched span changes probe cadence only, never results.
+    view of the page cache). The batched span's scalar stretch starts
+    afresh in each chunk, which changes probe cadence only, never
+    results.
     """
     check_fraction("warmup_fraction", warmup_fraction)
     warmup_count = int(len(source) * warmup_fraction)
