@@ -122,12 +122,12 @@ def _span_batched(
     The scalar stretch doubles, up to ``batch_size``, after each probe
     that consumes fewer than ``_LONG_HIT_RUN`` references; a probe that
     consumes that many, or its whole window, resets it to one
-    reference. Where level-1 hits come in long runs
-    the kernel takes them; where they come in short runs between
-    misses, the loop backs off onto the scalar path and probes once per
-    ``batch_size`` references. Stretches go through the exact
-    ``access`` and runs are prefix-exact whatever the probe cadence, so
-    the back-off changes throughput only, never results.
+    reference. Where level-1 hits come in long runs the kernel takes
+    them; where they come in short runs between misses, the loop backs
+    off onto the scalar path and probes once per ``batch_size``
+    references. Stretches go through the exact ``access`` and runs are
+    prefix-exact whatever the probe cadence, so the back-off changes
+    throughput only, never results.
     """
     n = len(blocks_arr)
     if clients_arr is not None and not clients_arr.any():
@@ -141,9 +141,7 @@ def _span_batched(
     stretch = 1
     index = 0
     while index < n:
-        end = index + batch_size
-        if end > n:
-            end = n
+        end = min(index + batch_size, n)
         if clients_arr is None:
             consumed = run(0, blocks_arr[index:end])
         else:
@@ -171,19 +169,14 @@ def _span_batched(
                 continue
         if consumed >= _LONG_HIT_RUN:
             stretch = 1
-        elif stretch < batch_size:
-            stretch *= 2
-            if stretch > batch_size:
-                stretch = batch_size
-        stop = index + stretch
-        if stop > n:
-            stop = n
-        warm = warmup_local - index
+        else:
+            stretch = min(stretch * 2, batch_size)
+        stop = min(index + stretch, n)
         _span_scalar(
             scheme,
             blocks_arr[index:stop],
             None if clients_arr is None else clients_arr[index:stop],
-            warm if warm > 0 else 0,
+            max(warmup_local - index, 0),
             metrics,
         )
         index = stop
