@@ -149,6 +149,52 @@ def test_warmup_boundary_inside_a_hit_run():
     assert result_hash(batched) == result_hash(scalar)
 
 
+class _CountingULC(ULCScheme):
+    """ULC that counts its hit-run probes and what they consume."""
+
+    def __init__(self, capacities):
+        super().__init__(capacities)
+        self.probes = 0
+        self.consumed = 0
+
+    def access_hit_run(self, client, blocks):
+        consumed = super().access_hit_run(client, blocks)
+        self.probes += 1
+        self.consumed += consumed
+        return consumed
+
+
+def _probe_counts(blocks, batch_size):
+    trace = Trace(blocks)
+    costs = paper_two_level()
+    scheme = _CountingULC([4, 8])
+    batched = Engine(scheme, costs).drive(trace, batch_size=batch_size)
+    scalar = Engine(ULCScheme([4, 8]), costs).drive(trace)
+    assert result_hash(batched) == result_hash(scalar)
+    return scheme.probes, scheme.consumed
+
+
+def test_back_off_probes_once_per_window_on_short_hit_runs():
+    """Runs of two level-1 hits between misses: the scalar stretch
+    doubles up to batch_size, so the drive probes about once per
+    window instead of once per few references."""
+    blocks = []
+    for fresh in range(10_000):
+        blocks += [0, 1, 1_000_000 + fresh]
+    probes, _ = _probe_counts(blocks, 1024)
+    assert probes <= len(blocks) // 1024 + 2 * 10
+
+
+def test_back_off_resets_on_long_hit_runs():
+    """Runs of 100 level-1 hits between misses: every long run resets
+    the stretch, so the kernel consumes almost every hit."""
+    blocks = []
+    for fresh in range(300):
+        blocks += [0, 1, 2, 3] * 25 + [1_000_000 + fresh]
+    _, consumed = _probe_counts(blocks, 1024)
+    assert consumed >= 0.95 * len(blocks)
+
+
 class TestFacadeContract:
     def test_invalid_batch_sizes_rejected(self):
         engine = Engine(ULCScheme([4, 4]), paper_two_level())
