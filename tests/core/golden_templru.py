@@ -119,19 +119,18 @@ def scenario_digests(scenario: str) -> Dict[str, Dict[str, object]]:
 
     base, _, temp_tag = scenario.rpartition("/t")
     templru_capacity = int(temp_tag)
+    single = dict(SINGLE)
+    multi = {name: options for name, *options in MULTI}
     digests = {}
     for name, blocks in traces():
-        single = [entry for entry in SINGLE if entry[0] == base]
-        if single:
+        if base in single:
             engine = ULCClient(
-                list(single[0][1]), templru_capacity=templru_capacity
+                list(single[base]), templru_capacity=templru_capacity
             )
             events = [engine.access(block) for block in blocks]
             engine.check_invariants()
         else:
-            _, client_capacity, tiers, notify = next(
-                entry for entry in MULTI if entry[0] == base
-            )
+            client_capacity, tiers, notify = multi[base]
             system = ULCMultiSystem(
                 NUM_CLIENTS,
                 client_capacity,

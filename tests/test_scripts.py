@@ -50,7 +50,8 @@ def test_run_paper_scale_script(tmp_path):
     assert "Figure 7" in report
 
 
-def _bench_pairs():
+@pytest.fixture(scope="module")
+def bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", REPO / "scripts" / "bench_pairs.py"
     )
@@ -64,66 +65,66 @@ class TestBenchPairsVerdict:
 
     BASE = [2.94, 2.85, 2.97, 2.90, 3.00, 2.88, 2.95, 2.92, 2.99, 2.86]
 
-    def test_quartiles_inclusive(self):
-        assert _bench_pairs().quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (
+    def test_quartiles_inclusive(self, bench_pairs):
+        assert bench_pairs.quartiles([5.0, 1.0, 3.0, 2.0, 4.0]) == (
             2.0, 3.0, 4.0
         )
-        assert _bench_pairs().quartiles([7.0]) == (7.0, 7.0, 7.0)
+        assert bench_pairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
 
-    def test_clear_gain(self):
+    def test_clear_gain(self, bench_pairs):
         change = [value - 0.7 for value in self.BASE]
-        result = _bench_pairs().verdict(self.BASE, change, "lower", 0.2)
+        result = bench_pairs.verdict(self.BASE, change, "lower", 0.2)
         assert result["wins"] == 10
         assert result["gain"] is True
         assert result["bound"] == "held"
         assert result["relative"] == pytest.approx(-0.7 / 2.93, abs=1e-3)
 
-    def test_eight_wins_is_not_a_gain(self):
+    def test_eight_wins_is_not_a_gain(self, bench_pairs):
         change = [value - 0.7 for value in self.BASE]
         change[0] = change[1] = 3.5
-        result = _bench_pairs().verdict(self.BASE, change, "lower", 0.2)
+        result = bench_pairs.verdict(self.BASE, change, "lower", 0.2)
         assert result["wins"] == 8
         assert result["gain"] is False
 
-    def test_gap_inside_the_base_iqr_is_not_a_gain(self):
+    def test_gap_inside_the_base_iqr_is_not_a_gain(self, bench_pairs):
         # Every pair won by 0.01, but the base IQR is about 0.08.
         change = [value - 0.01 for value in self.BASE]
-        result = _bench_pairs().verdict(self.BASE, change, "lower", 0.2)
+        result = bench_pairs.verdict(self.BASE, change, "lower", 0.2)
         assert result["wins"] == 10
         assert result["gain"] is False
 
-    def test_ties_count_for_neither_side(self):
-        result = _bench_pairs().verdict(self.BASE, self.BASE, "lower", 0.2)
+    def test_ties_count_for_neither_side(self, bench_pairs):
+        result = bench_pairs.verdict(self.BASE, self.BASE, "lower", 0.2)
         assert result["wins"] == 0
         assert result["bound"] == "held"
 
-    def test_bound_exceeded(self):
+    def test_bound_exceeded(self, bench_pairs):
         change = [value * 1.3 for value in self.BASE]
-        result = _bench_pairs().verdict(self.BASE, change, "lower", 0.2)
+        result = bench_pairs.verdict(self.BASE, change, "lower", 0.2)
         assert result["bound"] == "exceeded"
-        assert _bench_pairs().verdict(
+        assert bench_pairs.verdict(
             self.BASE, change, "lower", 0.35
         )["bound"] == "held"
 
-    def test_spread_wider_than_the_bound_is_unresolved(self):
+    def test_spread_wider_than_the_bound_is_unresolved(self, bench_pairs):
         base = [1.0, 1.5, 2.0, 1.2, 1.8]
         change = [1.1, 1.4, 2.1, 1.3, 1.7]
-        result = _bench_pairs().verdict(base, change, "lower", 0.1)
+        result = bench_pairs.verdict(base, change, "lower", 0.1)
         assert result["bound"] == "unresolved"
         # ...unless every change run beats every base run.
         faster = [0.5, 0.6, 0.7, 0.8, 0.9]
-        assert _bench_pairs().verdict(
+        assert bench_pairs.verdict(
             base, faster, "lower", 0.1
         )["bound"] == "held"
 
-    def test_higher_is_better(self):
+    def test_higher_is_better(self, bench_pairs):
         base = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
         higher = [value + 2 for value in base]
-        result = _bench_pairs().verdict(base, higher, "higher", 0.1)
+        result = bench_pairs.verdict(base, higher, "higher", 0.1)
         assert result["wins"] == 10
         assert result["gain"] is True
         lower = [value * 0.8 for value in base]
-        assert _bench_pairs().verdict(
+        assert bench_pairs.verdict(
             base, lower, "higher", 0.1
         )["bound"] == "exceeded"
 
