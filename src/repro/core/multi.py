@@ -66,6 +66,7 @@ from repro.util.validation import (
     check_fraction,
     check_in,
     check_int,
+    check_non_negative,
     check_positive,
 )
 
@@ -302,8 +303,10 @@ class ULCMultiClient:
             max_size=max_metadata,
         )
         self.capacity = capacity
-        # The tempLRU, least recent first; never holds a level-1 block.
+        check_int("templru_capacity", templru_capacity)
+        check_non_negative("templru_capacity", templru_capacity)
         self.templru_capacity = templru_capacity
+        # The tempLRU, least recent first; never holds a level-1 block.
         self._temp: OrderedDict[Block, None] = OrderedDict()
         # Kernel-caller handles for the fused access path (the stack's
         # level lists; see the intlist kernel contract).

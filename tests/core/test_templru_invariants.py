@@ -19,7 +19,7 @@ from repro.core import (
     ULCClient,
     ULCMultiSystem,
 )
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 
 
 def _single_engine():
@@ -58,6 +58,12 @@ def test_planted_violation_raises(engine_kind, violation):
         match = "tempLRU holds"
     with pytest.raises(ProtocolError, match=match):
         checked.check_invariants()
+
+
+@pytest.mark.parametrize("capacity", [-1, 2.5, True])
+def test_multi_client_rejects_bad_templru_capacity(capacity):
+    with pytest.raises(ConfigurationError):
+        ULCMultiSystem(2, 2, 4, templru_capacity=capacity)
 
 
 levels = st.lists(st.integers(1, 4), min_size=1, max_size=3)
