@@ -141,8 +141,8 @@ def main(argv: List[str]) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = spec["end_to_end"]
     runs: Dict[str, Dict[str, List[float]]] = {"base": {}, "change": {}}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
-        trees = {"base": export(args.base, Path(scratch)), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as workdir:
+        trees = {"base": export(args.base, Path(workdir)), "change": ROOT}
         for pair in range(1, args.pairs + 1):
             order = ("base", "change") if pair % 2 else ("change", "base")
             line = []

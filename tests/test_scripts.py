@@ -1,5 +1,5 @@
-"""Tests of the scripts: the paper-scale driver (run at tiny scale) and
-the benchmark-pairs tool."""
+"""Tests of the scripts: scripts/run_paper_scale.py (run at tiny scale)
+and scripts/bench_pairs.py."""
 
 from __future__ import annotations
 
