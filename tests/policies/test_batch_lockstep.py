@@ -1,40 +1,61 @@
-"""Hypothesis lockstep: ``access_batch`` vs repeated ``access``.
+"""Hypothesis lockstep: ``hit_run`` plus ``access`` vs repeated ``access``.
 
-The batch tier's contract is that the default per-reference loop *is*
+The batched drive reaches a policy through one pair of calls: a
+``hit_run`` probe over a window of references, then the exact
+``access`` on the reference that stopped the run. That is what
+``Engine``'s batched span does through indLRU's client caches and
+uniLRU's first level. The contract is that the per-reference loop *is*
 the specification: for every registered policy, driving one instance
-through ``access_batch`` and a twin through repeated ``access`` must
-produce identical hit masks, identical eviction streams (order
-included), identical per-reference eviction attribution, and identical
-final structures — across arbitrary batch boundaries, including ones
-that straddle evictions mid-batch (the capacities here are tiny so
-almost every batch evicts).
+through that pair and a twin through repeated ``access`` must produce
+the same hits, the same eviction stream (order included) and the same
+final structures after every window, down to the hit state that only
+later evictions reveal.
 
-This pins both sides of the redesign: the vectorised LRU/MRU/FIFO/CLOCK
-kernels against the exact loop, and every other policy's inherited
-default against the single-step path it wraps.
+Windows run to 200 references, mostly over a hot set no larger than
+the cache, so the probes consume runs far beyond the 32-reference
+scalar probe of the vectorised kernels. That pins LRU's scatter dedupe
+and the ``_touch_segment`` of MRU, FIFO, CLOCK, SIEVE and S3-FIFO
+against the exact loop, and every other policy's inherited
+``hit_run`` against the single-step path it wraps.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.policies.registry import available_policies, make_policy
 
+#: ``(capacity, warm-up blocks, probe)``: a full capacity-8 cache, then a
+#: 200-reference run over its blocks and one miss — a run every policy
+#: must consume whole, past the vectorised kernels' scalar probe.
+LONG_RUN = (
+    8,
+    list(range(8)),
+    np.random.default_rng(7).integers(0, 8, 200).tolist() + [99],
+)
 
-def drive_scalar(policy, blocks):
-    """The specification side: repeated access, per-ref bookkeeping."""
-    hits = []
-    evicted = []
-    offsets = [0]
-    for block in blocks:
-        result = policy.access(block)
-        hits.append(result.hit)
-        evicted.extend(result.evicted)
-        offsets.append(len(evicted))
-    return hits, evicted, offsets
+
+#: First of the never-referenced blocks that probe hidden hit state.
+FRESH = 1000
+
+
+def assert_same_state(runner, twin):
+    runner.check_invariants()
+    twin.check_invariants()
+    assert runner.victim() == twin.victim()
+    assert list(runner.resident()) == list(twin.resident())
+    assert len(runner) == len(twin)
+    # Hit state that victim() and resident() do not show (visited bits,
+    # reference bits, counters) decides later evictions: stream fresh
+    # blocks through copies of both and compare what they evict.
+    runner, twin = copy.deepcopy(runner), copy.deepcopy(twin)
+    for block in range(FRESH, FRESH + 2 * runner.capacity):
+        assert runner.access(block).evicted == twin.access(block).evicted
 
 
 @pytest.mark.parametrize("name", available_policies())
@@ -43,54 +64,62 @@ class TestBatchLockstep:
     @given(data=st.data())
     def test_batches_match_single_steps(self, name, data):
         capacity = data.draw(st.integers(2, 8), label="capacity")
-        batched = make_policy(name, capacity)
-        scalar = make_policy(name, capacity)
-        blocks = data.draw(
-            st.lists(st.integers(0, capacity * 3), max_size=150),
-            label="blocks",
+        universe = capacity * 3
+        runner = make_policy(name, capacity)
+        twin = make_policy(name, capacity)
+        hot = data.draw(
+            st.lists(
+                st.integers(0, universe), min_size=1, max_size=capacity,
+                unique=True,
+            ),
+            label="hot",
         )
-        index = 0
-        while index < len(blocks):
-            size = data.draw(st.integers(1, 20), label="batch_size")
-            chunk = blocks[index:index + size]
-            index += size
-            # Alternate list and ndarray inputs: arrays engage the
-            # vectorised kernels, lists the exact default loop.
-            if data.draw(st.booleans(), label="as_array"):
-                result = batched.access_batch(np.asarray(chunk, dtype=np.int64))
-            else:
-                result = batched.access_batch(chunk)
-            want_hits, want_evicted, want_offsets = drive_scalar(
-                scalar, chunk
+        for _ in range(data.draw(st.integers(1, 8), label="windows")):
+            size = data.draw(st.integers(1, 200), label="window_size")
+            # Three windows in four stay on the hot set; the rest mix
+            # in any block, so runs stop on misses and evictions.
+            pool = (
+                st.sampled_from(hot)
+                if data.draw(st.integers(0, 3), label="kind")
+                else st.integers(0, universe)
             )
-            assert [bool(flag) for flag in result.hits] == want_hits
-            assert list(result.evicted) == want_evicted
-            assert list(result.offsets) == want_offsets
-            assert len(result) == len(chunk)
-            assert result.hit_count == sum(want_hits)
-            for ref in range(len(chunk)):
-                assert list(result.evicted_by(ref)) == list(
-                    want_evicted[want_offsets[ref]:want_offsets[ref + 1]]
-                )
-            per_ref = list(result.results())
-            assert [r.hit for r in per_ref] == want_hits
-            batched.check_invariants()
-            scalar.check_invariants()
-        assert batched.victim() == scalar.victim()
-        assert list(batched.resident()) == list(scalar.resident())
-        assert len(batched) == len(scalar)
+            window = data.draw(
+                st.lists(pool, min_size=size, max_size=size), label="window"
+            )
+            consumed = runner.hit_run(np.asarray(window, dtype=np.int64))
+            assert 0 <= consumed <= size
+            hits = consumed
+            evicted = []
+            if consumed < size:
+                result = runner.access(window[consumed])
+                hits += result.hit
+                evicted.extend(result.evicted)
+            want_hits = 0
+            want_evicted = []
+            for block in window[:consumed + 1]:
+                result = twin.access(block)
+                want_hits += result.hit
+                want_evicted.extend(result.evicted)
+            assert hits == want_hits
+            assert evicted == want_evicted
+            assert_same_state(runner, twin)
 
     @settings(max_examples=10, deadline=None)
-    @given(blocks=st.lists(st.integers(0, 30), max_size=60))
-    def test_hit_run_is_all_hit_prefix(self, name, blocks):
+    @given(
+        case=st.lists(st.integers(0, 30), max_size=60).map(
+            lambda blocks: (6, blocks, blocks[::-1] + [97, 98])
+        )
+    )
+    @example(case=LONG_RUN)
+    def test_hit_run_is_all_hit_prefix(self, name, case):
         """``hit_run`` consumes exactly the all-resident prefix and is
         state-identical to touching it per reference."""
-        runner = make_policy(name, 6)
-        twin = make_policy(name, 6)
+        capacity, blocks, probe = case
+        runner = make_policy(name, capacity)
+        twin = make_policy(name, capacity)
         for block in blocks:
             runner.access(block)
             twin.access(block)
-        probe = blocks[::-1] + [97, 98]
         consumed = runner.hit_run(np.asarray(probe, dtype=np.int64))
         prefix = 0
         for block in probe:
@@ -99,6 +128,4 @@ class TestBatchLockstep:
             twin.touch(block)
             prefix += 1
         assert consumed == prefix
-        runner.check_invariants()
-        twin.check_invariants()
-        assert list(runner.resident()) == list(twin.resident())
+        assert_same_state(runner, twin)
