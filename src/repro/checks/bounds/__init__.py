@@ -1,8 +1,8 @@
 """Static cost-bound analysis of the hot paths (the ``repro check
 --bounds`` pass).
 
-The ULC protocol advertises constant time per reference and the batch
-kernels advertise linear time per batch; the bench regression gate only
+The ULC protocol advertises constant time per reference and the hit-run
+kernels advertise linear time per run; the bench regression gate only
 protects the scenarios we benchmark. This pass checks the asymptotics
 statically: an abstract interpreter over the ``--deep`` project model
 (:mod:`repro.checks.flow.project`) infers a symbolic cost on the
@@ -14,9 +14,9 @@ fixpoint. Everything is AST-only; no project code is imported or
 executed.
 
 Hot entry points — policy ``access``/``evict``/``victim`` (budget
-``O(1)``), the batch entries (``access_batch``/``hit_run*``, budget
-``O(n)``), the ``Engine._drive*`` loops and ``# repro: hot`` marks —
-seed a derived-hot set, and four rules police it:
+``O(1)``), the hit-run entries (``hit_run``/``access_hit_run*``,
+budget ``O(n)``), the ``Engine._drive*`` loops and ``# repro: hot``
+marks — seed a derived-hot set, and four rules police it:
 
 - **BND001** — a hot path exceeds its declared or default budget (the
   dominating loop nest rendered as SARIF ``codeFlows``);

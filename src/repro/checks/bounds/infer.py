@@ -17,13 +17,12 @@ the :class:`repro.checks.bounds.cost.Cost` lattice:
   once, at the justified site).
 
 The *hot set* seeds from the protocol's per-reference entry points —
-policy ``access``/``evict``/``victim`` (budget ``O(1)``), the batch
-entries ``access_batch``/``hit_run``/``access_hit_run*`` and the
-``_drive*``/``_span*`` engine loops (budget ``O(n)``, linear in the
-batch/trace), plus anything marked ``# repro: hot`` — and propagates
-like FLOW004's derived-hot set: from an ``O(n)``-budget entry through
-loop-resident call sites, from an ``O(1)``-budget function through
-every call site. Rules:
+policy ``access``/``evict``/``victim`` (budget ``O(1)``), the hit-run
+entries ``hit_run``/``access_hit_run*`` and the ``_drive*``/``_span*``
+engine loops (budget ``O(n)``, linear in the run/trace), plus anything
+marked ``# repro: hot`` — and propagates like FLOW004's derived-hot
+set: from an ``O(n)``-budget entry through loop-resident call sites,
+from an ``O(1)``-budget function through every call site. Rules:
 
 - **BND001** — a hot function's inferred cost exceeds its declared or
   default budget (the dominating loop nest is attached as finding
@@ -73,9 +72,7 @@ ENTRY_CONST_METHODS = {"access", "evict", "victim"}
 
 #: Batch/run entry points: one call serves a whole reference batch, so
 #: the default budget is linear in the batch.
-ENTRY_LINEAR_METHODS = {
-    "access_batch", "hit_run", "access_hit_run", "access_hit_run_multi",
-}
+ENTRY_LINEAR_METHODS = {"hit_run", "access_hit_run", "access_hit_run_multi"}
 
 #: Module-level drive-loop prefixes, recognised in ``*.engine`` modules
 #: (``repro.sim.engine``'s ``_drive*`` / ``_span*`` family).

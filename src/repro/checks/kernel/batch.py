@@ -1,40 +1,21 @@
-"""KER004 — batch-contract conformance.
+"""KER004 — guarded hit-run fast paths.
 
-The PR-6 batch tier has a three-part contract that nothing enforces at
-runtime:
-
-a. **obligation set** — a scheme that advertises ``supports_batch =
-   True`` must actually provide the batched entry points (its own or
-   inherited ``access_hit_run``, or the ``access_batch`` + ``hit_run``
-   pair), and a policy must never override only half of the pair — the
-   simulator would silently mix batched and scalar semantics;
-b. **frozen results** — ``BatchResult`` is a frozen value object;
-   mutating one (attribute store, nested container mutation) corrupts
-   a result that callers may already hold;
-c. **guarded fast paths** — inside ``hit_run`` / ``access_hit_run``,
-   bulk recency mutators (``touch`` and friends) may only run under the
-   recency-region proof: the mutator sits behind a conditional, the
-   loop carries an escape guard (``break``/``return`` on the proof
-   failing), or the whole loop is entered only after the proof check.
-   An unguarded bulk ``touch`` is exactly the bug the golden digests
-   caught once already — it reorders stacks for blocks outside the
-   proven region.
+Inside ``hit_run`` / ``access_hit_run``, bulk recency mutators
+(``touch`` and friends) may only run under the recency-region proof:
+the mutator sits behind a conditional, the loop carries an escape guard
+(``break``/``return`` on the proof failing), or the whole loop is
+entered only after the proof check. An unguarded bulk ``touch`` is
+exactly the bug the golden digests caught once already — it reorders
+stacks for blocks outside the proven region.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.checks.findings import Finding
-from repro.checks.flow.project import (
-    ClassInfo,
-    FunctionInfo,
-    ModuleInfo,
-    Project,
-    attribute_chain,
-    param_annotations,
-)
+from repro.checks.flow.project import Project
 from repro.checks.flow.taint import _suppressed
 
 #: Entry points whose loops need the recency-region guard.
@@ -42,167 +23,6 @@ FAST_PATH_NAMES = {"hit_run", "access_hit_run", "access_hit_run_multi"}
 
 #: Recency-mutating operations a fast path may only run when guarded.
 MUTATOR_NAMES = {"touch", "move_to_front", "_touch_segment", "access"}
-
-#: Root classes whose subclasses carry the access_batch/hit_run pair.
-POLICY_ROOTS = {"ReplacementPolicy"}
-
-#: In-place mutators on BatchResult fields (tuples in a correct build —
-#: calling any of these means a field was made mutable or shadowed).
-_CONTAINER_MUTATORS = {
-    "append", "extend", "insert", "pop", "clear", "remove", "sort",
-    "add", "update", "appendleft", "popleft",
-}
-
-
-def _report(
-    findings: List[Finding],
-    mod: ModuleInfo,
-    lineno: int,
-    message: str,
-    steps: Tuple[Tuple[int, str], ...] = (),
-) -> None:
-    if _suppressed(mod, lineno, "KER004"):
-        return
-    findings.append(
-        Finding(
-            path=mod.path, line=lineno, col=0, rule="KER004",
-            message=message, steps=steps,
-        )
-    )
-
-
-# ----------------------------------------------------------------------
-# (a) obligation set
-
-
-def _truthy_class_assign(cls: ClassInfo, name: str) -> Optional[int]:
-    """Line of ``name = True`` in the class body, or ``None``."""
-    for stmt in cls.node.body:
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        if isinstance(target, ast.Name) and target.id == name and \
-                isinstance(value, ast.Constant) and value.value is True:
-            return stmt.lineno
-    return None
-
-
-def _in_family(project: Project, cls: ClassInfo, roots: Set[str]) -> bool:
-    seen: Set[str] = set()
-    frontier = list(cls.base_names)
-    while frontier:
-        base = frontier.pop()
-        if base in seen:
-            continue
-        seen.add(base)
-        if base in roots:
-            return True
-        for parent in project.classes_by_name.get(base, []):
-            frontier.extend(parent.base_names)
-    return False
-
-
-def _check_obligations(project: Project, findings: List[Finding]) -> None:
-    for cls in project.classes.values():
-        if cls.module.in_checks_package():
-            continue
-        lineno = _truthy_class_assign(cls, "supports_batch")
-        if lineno is not None:
-            has_fused = project._method_on(cls, "access_hit_run") is not None
-            has_pair = (
-                project._method_on(cls, "access_batch") is not None
-                and project._method_on(cls, "hit_run") is not None
-            )
-            if not has_fused and not has_pair:
-                _report(
-                    findings, cls.module, lineno,
-                    f"batch contract: {cls.name} sets supports_batch = True "
-                    "but provides neither access_hit_run nor the "
-                    "access_batch/hit_run pair",
-                )
-        if cls.name in POLICY_ROOTS or not _in_family(
-            project, cls, POLICY_ROOTS
-        ):
-            continue
-        own = {name for name in ("access_batch", "hit_run")
-               if name in cls.methods}
-        if len(own) == 1:
-            defined = own.pop()
-            missing = ("hit_run" if defined == "access_batch"
-                       else "access_batch")
-            _report(
-                findings, cls.module, cls.methods[defined].lineno,
-                f"batch contract: {cls.name} overrides {defined} without "
-                f"{missing} — batched and scalar drives would diverge",
-            )
-
-
-# ----------------------------------------------------------------------
-# (b) frozen BatchResult
-
-
-def _batch_locals(func: FunctionInfo) -> Dict[str, int]:
-    """Local name → line where it provably holds a ``BatchResult``."""
-    out: Dict[str, int] = {}
-    for name, classes in param_annotations(func.node).items():
-        if "BatchResult" in classes:
-            out[name] = func.lineno
-    for node in ast.walk(func.node):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 and \
-                isinstance(node.targets[0], ast.Name) and \
-                isinstance(node.value, ast.Call):
-            chain = attribute_chain(node.value.func)
-            if chain and chain[-1] == "BatchResult":
-                out[node.targets[0].id] = node.lineno
-    return out
-
-
-def _check_frozen(project: Project, findings: List[Finding]) -> None:
-    for func in project.functions.values():
-        if func.module.in_checks_package() or \
-                isinstance(func.node, ast.Lambda):
-            continue
-        batch = _batch_locals(func)
-        if not batch:
-            continue
-        for node in ast.walk(func.node):
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            for target in targets:
-                chain = attribute_chain(
-                    target.value if isinstance(target, ast.Subscript)
-                    else target
-                )
-                if len(chain) >= 2 and chain[0] in batch:
-                    _report(
-                        findings, func.module, target.lineno,
-                        f"frozen BatchResult `{chain[0]}` is mutated "
-                        f"(store through `{'.'.join(chain)}`) in "
-                        f"{func.display}",
-                        steps=((batch[chain[0]],
-                                f"`{chain[0]}` holds a BatchResult"),),
-                    )
-            if isinstance(node, ast.Call):
-                chain = attribute_chain(node.func)
-                if len(chain) >= 2 and chain[0] in batch and \
-                        chain[-1] in _CONTAINER_MUTATORS:
-                    _report(
-                        findings, func.module, node.lineno,
-                        f"frozen BatchResult `{chain[0]}` is mutated "
-                        f"(`{'.'.join(chain)}(...)`) in {func.display}",
-                        steps=((batch[chain[0]],
-                                f"`{chain[0]}` holds a BatchResult"),),
-                    )
-
-
-# ----------------------------------------------------------------------
-# (c) guarded fast paths
 
 
 def _contains(node: ast.AST, kinds: tuple) -> bool:
@@ -268,17 +88,22 @@ def _check_fast_paths(project: Project, findings: List[Finding]) -> None:
                     continue
                 if call_in_if or escape_guard or loop_guarded:
                     continue
+                if _suppressed(func.module, call.lineno, "KER004"):
+                    continue
                 name = (call.func.attr if isinstance(call.func, ast.Attribute)
                         else call.func.id)  # type: ignore[union-attr]
-                _report(
-                    findings, func.module, call.lineno,
-                    f"unguarded fast path: bulk `{name}` runs for every "
-                    f"loop iteration of {func.display} without a "
-                    "recency-region guard (no conditional, escape guard "
-                    "or pre-checked loop)",
+                findings.append(Finding(
+                    path=func.module.path, line=call.lineno, col=0,
+                    rule="KER004",
+                    message=(
+                        f"unguarded fast path: bulk `{name}` runs for "
+                        f"every loop iteration of {func.display} without "
+                        "a recency-region guard (no conditional, escape "
+                        "guard or pre-checked loop)"
+                    ),
                     steps=((loop.lineno, "loop over the probed run"),
                            (call.lineno, f"unconditional `{name}`")),
-                )
+                ))
 
 
 def run_batch_contract(
@@ -288,8 +113,6 @@ def run_batch_contract(
     if select is not None and "KER004" not in select:
         return []
     findings: List[Finding] = []
-    _check_obligations(project, findings)
-    _check_frozen(project, findings)
     _check_fast_paths(project, findings)
     findings.sort()
     return findings

@@ -33,14 +33,6 @@ class MultiLevelScheme(abc.ABC):
 
     name = "abstract"
 
-    #: Whether :meth:`access_hit_run` can fast-forward hit stretches.
-    #: Schemes that implement a real run kernel set this True; the
-    #: batched drive loop consults it once per run and falls back to the
-    #: per-reference path otherwise. The flag is a *capability*, not a
-    #: semantic switch — batched and per-reference drives must produce
-    #: identical results.
-    supports_batch = False
-
     def __init__(self, capacities: Sequence[int], num_clients: int = 1) -> None:
         capacities = list(capacities)
         if not capacities:
@@ -72,8 +64,9 @@ class MultiLevelScheme(abc.ABC):
 
         The contract is bit-exactness: consuming ``k`` references here
         must leave the scheme in the same state as ``k`` :meth:`access`
-        calls. The base implementation consumes nothing (always exact);
-        schemes advertising :attr:`supports_batch` override it.
+        calls. The base implementation consumes nothing (always exact),
+        so the batched drive runs a scheme without a kernel through its
+        per-reference path; schemes with a real run kernel override it.
         """
         self._check_client(client)
         return 0

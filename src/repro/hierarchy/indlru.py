@@ -62,8 +62,6 @@ class IndependentScheme(MultiLevelScheme):
         if policies[0] != "lru":
             self.name = "ind-" + "-".join(policies)
 
-    supports_batch = True
-
     def _level_cache(self, client: int, level: int) -> ReplacementPolicy:
         if level == 1:
             return self._client_caches[client]

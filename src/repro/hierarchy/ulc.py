@@ -42,8 +42,6 @@ class ULCScheme(MultiLevelScheme):
             max_metadata=max_metadata,
         )
 
-    supports_batch = True
-
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
         return self.engine.access(block, client)
@@ -105,8 +103,6 @@ class ULCMultiScheme(MultiLevelScheme):
             notice_loss_rate=notice_loss_rate,
             notice_loss_seed=notice_loss_seed,
         )
-
-    supports_batch = True
 
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)

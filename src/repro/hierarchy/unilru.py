@@ -56,8 +56,6 @@ class UnifiedLRUScheme(MultiLevelScheme):
         super().__init__(capacities, num_clients)
         self._levels = [LRUPolicy(capacity) for capacity in self.capacities]
 
-    supports_batch = True
-
     def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
         """Fast-forward through a run of level-1 hits.
 

@@ -16,12 +16,11 @@ peek at the victim) rather than only "access":
 - :meth:`ReplacementPolicy.victim` — peek at the next eviction candidate.
 - :meth:`ReplacementPolicy.access` — the common read path
   (touch-if-present-else-insert) used by trace-driven runs.
-- :meth:`ReplacementPolicy.access_batch` — the batched read path: one
-  call covers a run of references and returns a :class:`BatchResult`.
-  The default implementation loops over :meth:`access`; array-backed
-  policies override it with vectorised kernels that are *bit-identical*
-  to the loop (the batch API is an optimisation tier, never a semantic
-  one).
+- :meth:`ReplacementPolicy.hit_run` — touch the leading all-resident
+  stretch of a run of references, for the batched drive. The default
+  loops over :meth:`touch`; array-backed policies override it with
+  vectorised kernels that are *bit-identical* to the loop (an
+  optimisation tier, never a semantic one).
 
 Blocks are opaque hashable identifiers (integers in practice).
 """
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterator, List, Optional, Sequence
 
 from repro.errors import ProtocolError
 from repro.util.validation import check_int, check_positive
@@ -45,53 +44,11 @@ class AccessResult:
     Attributes:
         hit: whether the block was resident before the access.
         evicted: blocks evicted to make room (empty on hits; policies
-            evict at most one block per single-block insert, but the list
-            form keeps the type shared with the batched path — see
-            :class:`BatchResult` for the n-reference aggregate).
+            evict at most one block per single-block insert).
     """
 
     hit: bool
     evicted: List[Block] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class BatchResult:
-    """Outcome of one :meth:`ReplacementPolicy.access_batch` call.
-
-    The aggregate of ``n`` sequential accesses, recorded so that the
-    per-reference :class:`AccessResult` stream can be reconstructed
-    exactly:
-
-    Attributes:
-        hits: per-reference hit flags, index-aligned with the input
-            (``hits[i]`` is what ``access(blocks[i]).hit`` would have
-            returned at that point in the sequence).
-        evicted: every evicted block, concatenated in eviction order.
-        offsets: ``n + 1`` prefix offsets into ``evicted``; reference
-            ``i`` evicted exactly ``evicted[offsets[i]:offsets[i + 1]]``.
-    """
-
-    hits: Sequence[bool]
-    evicted: Tuple[Block, ...]
-    offsets: Sequence[int]
-
-    def __len__(self) -> int:
-        return len(self.hits)
-
-    @property
-    def hit_count(self) -> int:
-        return sum(bool(flag) for flag in self.hits)
-
-    def evicted_by(self, index: int) -> Tuple[Block, ...]:
-        """Blocks evicted by reference ``index`` (empty on hits)."""
-        return self.evicted[self.offsets[index]:self.offsets[index + 1]]
-
-    def results(self) -> Iterator[AccessResult]:
-        """Reconstruct the per-reference :class:`AccessResult` stream."""
-        for index, hit in enumerate(self.hits):
-            yield AccessResult(
-                hit=bool(hit), evicted=list(self.evicted_by(index))
-            )
 
 
 class ReplacementPolicy(abc.ABC):
@@ -156,27 +113,6 @@ class ReplacementPolicy(abc.ABC):
             self.touch(block)
             return AccessResult(hit=True)
         return AccessResult(hit=False, evicted=self.insert(block))
-
-    def access_batch(self, blocks: Sequence[Block]) -> BatchResult:
-        """Reference ``blocks`` in order; aggregate of n :meth:`access`.
-
-        The contract is exactness: for any input, state and outcomes are
-        identical to calling :meth:`access` once per block. Overrides may
-        vectorise resident stretches but must fall back to the exact
-        per-reference path on the first miss (or anything else that
-        mutates residency), so this default loop *is* the specification.
-        """
-        hits: List[bool] = []
-        evicted: List[Block] = []
-        offsets: List[int] = [0]
-        for block in blocks:
-            result = self.access(block)
-            hits.append(result.hit)
-            evicted.extend(result.evicted)
-            offsets.append(len(evicted))
-        return BatchResult(
-            hits=hits, evicted=tuple(evicted), offsets=offsets
-        )
 
     def hit_run(self, blocks: Sequence[Block]) -> int:
         """Touch the longest all-resident prefix of ``blocks``.

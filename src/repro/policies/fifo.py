@@ -6,9 +6,9 @@ baseline and as the building block of the CLOCK approximation.
 Structurally FIFO is LRU with the recency movement deleted: the same
 slab queue (insert at the front, evict at the back), but :meth:`touch`
 leaves the order alone. Subclassing :class:`~repro.policies.lru.LRUPolicy`
-buys the flat-array kernel, the residency bitmap and the batched
-``access_batch`` / ``hit_run`` fast paths for free — an all-hit stretch
-is a no-op here, which makes FIFO the cheapest policy to batch.
+buys the flat-array kernel, the residency bitmap and the vectorised
+``hit_run`` fast path for free — an all-hit stretch is a no-op here,
+which makes FIFO the cheapest policy to batch.
 """
 
 from __future__ import annotations

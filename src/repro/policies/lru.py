@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.policies.base import BatchResult, Block, ReplacementPolicy
+from repro.policies.base import Block, ReplacementPolicy
 from repro.policies.residency import ResidencyBitmap, as_block_array
 from repro.util.intlist import SENTINEL, UNLINKED, IntLinkedList
 
@@ -35,9 +35,10 @@ class LRUPolicy(ReplacementPolicy):
         self._stack = IntLinkedList()
         self._slots: Dict[Block, int] = {}
         self._block_at: List[Optional[Block]] = [None]
-        # Residency bitmap for the batched kernels: built lazily on the
-        # first batch call, kept live by _alloc/_release, dropped (back
-        # to the exact per-reference path) on unsupported block ids.
+        # Residency bitmap for the hit_run kernel: built lazily on the
+        # first run past the scalar probe, kept live by _alloc/_release,
+        # dropped (back to the exact per-reference path) on unsupported
+        # block ids.
         self._bits: Optional[ResidencyBitmap] = None
         # Scratch for the scatter-based last-occurrence dedupe; contents
         # are never read across calls (every gathered entry is written
@@ -155,7 +156,7 @@ class LRUPolicy(ReplacementPolicy):
             if block is not None:
                 yield block
 
-    # -- the batched kernels -----------------------------------------------
+    # -- the hit-run kernel ------------------------------------------------
 
     def _touch_segment(self, seg: np.ndarray) -> None:
         """Replay per-reference touches over an all-resident segment.
@@ -252,96 +253,6 @@ class LRUPolicy(ReplacementPolicy):
         if stop:
             self._touch_segment(arr[:stop])
         return stop
-
-    # repro: bound O(n) amortized -- the checkpoint cursor and the
-    # verified stretches partition the batch, so each reference is
-    # gathered, verified and touched a constant number of times
-    def access_batch(self, blocks: Sequence[Block]) -> BatchResult:
-        """Vectorised :meth:`ReplacementPolicy.access_batch`.
-
-        A bitmap gather splits the batch at the (batch-start) miss
-        positions; each intervening stretch is re-verified against the
-        *live* bitmap (mid-batch inserts and evictions update it
-        immediately) and the verified all-hit run is touched in one
-        vectorised pass. Every position the live check rejects — a true
-        miss, or a block evicted mid-batch — goes through the exact
-        scalar step, so the result is bit-identical to the default loop.
-        """
-        arr = as_block_array(blocks)
-        if arr is None:
-            return super().access_batch(blocks)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(
-                hits=np.zeros(0, dtype=bool), evicted=(), offsets=(0,)
-            )
-        bits_map = self._ensure_bits()
-        if bits_map is None:
-            return super().access_batch(blocks)
-        try:
-            bits_map.ensure(int(arr.max()))
-        except IndexError:
-            return super().access_batch(blocks)
-
-        hits_out = np.zeros(n, dtype=bool)
-        counts = np.zeros(n, dtype=np.int64)
-        evicted: List[Block] = []
-        slots = self._slots
-        blocks_list = arr.tolist()
-        # Positions that were misses at batch start: the only places the
-        # residency set can *grow* mid-batch (scalar inserts happen
-        # there), so they bound every all-hit stretch to verify.
-        checkpoints = np.flatnonzero(~bits_map.bits[arr])
-        num_checkpoints = checkpoints.shape[0]
-        pos = 0
-        cursor = 0
-        while pos < n:
-            while cursor < num_checkpoints and checkpoints[cursor] < pos:
-                cursor += 1
-            stop = (
-                int(checkpoints[cursor]) if cursor < num_checkpoints else n
-            )
-            if stop - pos > _DEDUPE_THRESHOLD:
-                # Re-verify the stretch against the live bitmap: blocks
-                # evicted by an earlier scalar step are stale hits.
-                stale = np.flatnonzero(~bits_map.bits[arr[pos:stop]])
-                run_end = (
-                    stop if stale.shape[0] == 0 else pos + int(stale[0])
-                )
-                if run_end > pos:
-                    self._touch_segment(arr[pos:run_end])
-                    hits_out[pos:run_end] = True
-                    pos = run_end
-                if pos < stop:
-                    # Evicted mid-batch: a true miss now.
-                    ev = self.insert(blocks_list[pos])
-                    if ev:
-                        evicted.extend(ev)
-                        counts[pos] = len(ev)
-                    pos += 1
-                continue
-            # Short stretch (numpy per-call overhead would dominate) and
-            # then the checkpoint itself: exact scalar steps, with dict
-            # membership as the live residency truth — a batch-start hit
-            # may have been evicted since, a batch-start miss inserted.
-            for p in range(pos, min(stop + 1, n)):
-                block = blocks_list[p]
-                if block in slots:
-                    self.touch(block)
-                    hits_out[p] = True
-                else:
-                    ev = self.insert(block)
-                    if ev:
-                        evicted.extend(ev)
-                        counts[p] = len(ev)
-            pos = min(stop + 1, n)
-
-        offsets = np.empty(n + 1, dtype=np.int64)
-        offsets[0] = 0
-        np.cumsum(counts, out=offsets[1:])
-        return BatchResult(
-            hits=hits_out, evicted=tuple(evicted), offsets=offsets
-        )
 
     def check_invariants(self) -> None:
         """Slot index, stack and residency bitmap must agree."""

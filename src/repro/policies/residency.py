@@ -1,25 +1,24 @@
-"""Residency bitmap: the numpy prefilter behind the batched kernels.
+"""Residency bitmap: the numpy prefilter behind the hit-run kernels.
 
-The vectorised ``access_batch`` / ``hit_run`` implementations need one
-O(1)-per-reference question answered for a whole array at once: *is this
-block resident right now?* A dict lookup per reference is exactly the
-per-reference interpretation the batch API exists to avoid, so the
-array-backed policies maintain a dense boolean bitmap indexed by block
-id alongside their slot index. ``bits[arr]`` then classifies a whole
-batch in one gather.
+The vectorised ``hit_run`` implementations need one O(1)-per-reference
+question answered for a whole array at once: *is this block resident
+right now?* A dict lookup per reference is exactly the per-reference
+interpretation the kernels exist to avoid, so the array-backed policies
+maintain a dense boolean bitmap indexed by block id alongside their
+slot index. ``bits[arr]`` then classifies a whole run in one gather.
 
 The bitmap is an *optimisation cache*, never the source of truth:
 
-- it is built lazily on the first batch call (scalar-only users never
-  pay for it) and kept live by the policy's slot alloc/release hooks;
+- it is built lazily on the first run past the kernels' scalar probe
+  (scalar-only users never pay for it) and kept live by the policy's
+  slot alloc/release hooks, so every later gather is current;
 - it only supports non-negative integer block ids — anything else makes
   the owning policy drop the bitmap and fall back to the exact
   per-reference loop (blocks are opaque hashables in general).
 
-Mid-batch inserts and evictions mutate the bitmap immediately, so a
-re-gather over the remaining segment is always current — that is what
-lets the batch kernels verify an "all hits" stretch *live* before
-vectorising it (see :meth:`repro.policies.lru.LRUPolicy.access_batch`).
+Hits never change residency, so one gather at the start of a run is
+exact for its whole all-hit prefix (see
+:meth:`repro.policies.lru.LRUPolicy.hit_run`).
 """
 
 from __future__ import annotations

@@ -28,9 +28,8 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.policies.base import BatchResult, Block, ReplacementPolicy
+from repro.policies.base import Block, ReplacementPolicy
 from repro.policies.residency import ResidencyBitmap, as_block_array
-from repro.policies.batch import vectorised_access_batch
 from repro.util.intlist import IntLinkedList, IntSlab
 from repro.util.validation import check_fraction
 
@@ -247,7 +246,7 @@ class S3FIFOPolicy(ReplacementPolicy):
                 if block is not None:
                     yield block
 
-    # -- batched kernels ---------------------------------------------------
+    # -- the hit-run kernel ------------------------------------------------
 
     # repro: bound O(n) amortized -- the scalar probe is capped at
     # _PROBE references and the counter scatter visits each consumed
@@ -305,14 +304,6 @@ class S3FIFOPolicy(ReplacementPolicy):
             slot = slots[block]
             total = freq[slot] + count
             freq[slot] = total if total < _FREQ_MAX else _FREQ_MAX
-
-    # repro: bound O(n) amortized -- the checkpoint cursor and the
-    # verified stretches partition the batch, so each reference is
-    # gathered, verified and counted a constant number of times
-    def access_batch(self, blocks: Sequence[Block]) -> BatchResult:
-        """Vectorised :meth:`ReplacementPolicy.access_batch` (shared
-        mark-on-hit driver; see :mod:`repro.policies.batch`)."""
-        return vectorised_access_batch(self, blocks)
 
     def check_invariants(self) -> None:
         super().check_invariants()

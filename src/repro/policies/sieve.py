@@ -19,8 +19,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ProtocolError
-from repro.policies.base import BatchResult, Block, ReplacementPolicy
-from repro.policies.batch import vectorised_access_batch
+from repro.policies.base import Block, ReplacementPolicy
 from repro.policies.residency import ResidencyBitmap, as_block_array
 from repro.util.intlist import IntLinkedList
 
@@ -182,7 +181,7 @@ class SIEVEPolicy(ReplacementPolicy):
             if block is not None:
                 yield block
 
-    # -- batched kernels ---------------------------------------------------
+    # -- the hit-run kernel ------------------------------------------------
 
     # repro: bound O(n) amortized -- the scalar probe is capped at
     # _PROBE references and the visited-bit scatter visits each
@@ -231,14 +230,6 @@ class SIEVEPolicy(ReplacementPolicy):
         visited = self._visited
         for block in np.unique(seg).tolist():
             visited[slots[block]] = True
-
-    # repro: bound O(n) amortized -- the checkpoint cursor and the
-    # verified stretches partition the batch, so each reference is
-    # gathered, verified and marked a constant number of times
-    def access_batch(self, blocks: Sequence[Block]) -> BatchResult:
-        """Vectorised :meth:`ReplacementPolicy.access_batch` (shared
-        mark-on-hit driver; see :mod:`repro.policies.batch`)."""
-        return vectorised_access_batch(self, blocks)
 
     def check_invariants(self) -> None:
         super().check_invariants()

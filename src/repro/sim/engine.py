@@ -22,8 +22,9 @@ through the per-reference loop. That scalar stretch doubles, up to
 ``batch_size``, while probes consume little, so the kernels pay on
 long all-hit stretches (a warm indLRU client cache) and a trace whose
 level-1 hits come in short runs between misses (the Figure-6/7 stream
-traces under ULC) runs at scalar speed. Results are bit-identical to
-the per-reference loop — the golden digests in
+traces under ULC) runs at scalar speed, as does a scheme without a
+kernel (the inherited ``access_hit_run`` consumes nothing). Results
+are bit-identical to the per-reference loop — the golden digests in
 ``tests/core/test_slab_equivalence.py`` pin this — batching only
 changes how fast the answer arrives.
 """
@@ -207,9 +208,6 @@ def _drive_stream(
     """
     check_fraction("warmup_fraction", warmup_fraction)
     warmup_count = int(len(source) * warmup_fraction)
-    batched = batch_size is not None and getattr(
-        scheme, "supports_batch", False
-    )
     for chunk in iter_chunks(source, chunk_size):
         span = len(chunk.blocks)
         if span == 0:
@@ -219,7 +217,7 @@ def _drive_stream(
             warmup_local = 0
         elif warmup_local > span:
             warmup_local = span
-        if batched and batch_size is not None:
+        if batch_size is not None:
             _span_batched(
                 scheme, chunk.blocks, chunk.clients, warmup_local,
                 metrics, batch_size,
@@ -277,10 +275,12 @@ class Engine:
     ) -> RunResult:
         """Drive ``trace`` through the scheme; return the measured result.
 
-        ``batch_size`` (references per chunk) engages the batched drive
-        loop for schemes advertising
-        :attr:`~MultiLevelScheme.supports_batch`; ``None`` runs the
-        per-reference loop. The results are identical either way.
+        ``batch_size`` (the largest window one hit-run probe covers)
+        engages the batched drive loop; ``None`` runs the per-reference
+        loop. A scheme without a hit-run kernel inherits
+        :meth:`~MultiLevelScheme.access_hit_run`, which consumes
+        nothing, so the loop backs off onto the per-reference path. The
+        results are identical either way.
         """
         return self.drive_stream(trace, batch_size=batch_size)
 

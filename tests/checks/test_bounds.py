@@ -563,7 +563,7 @@ class TestLiveTree:
         )
         assert any(q.endswith("LIRSPolicy._prune_stack") for q in annotated)
         assert any(q.endswith("IntSlab.alloc") for q in annotated)
-        assert any(q.endswith("LRUPolicy.access_batch") for q in annotated)
+        assert any(q.endswith("LRUPolicy.hit_run") for q in annotated)
 
     def test_live_tree_infers_fenwick_as_logarithmic(self):
         checker = BoundsChecker(Project([SRC_REPRO]))

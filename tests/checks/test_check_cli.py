@@ -12,6 +12,18 @@ from repro.cli import main
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
 
+#: A module with one KER004 finding: a hit_run loop that touches every
+#: block with no residency guard.
+UNGUARDED_HIT_RUN = (
+    "class BadPolicy:\n"
+    "    def hit_run(self, blocks):\n"
+    "        for block in blocks:\n"
+    "            self.touch(block)\n"
+    "        return len(blocks)\n\n"
+    "    def touch(self, block):\n"
+    "        pass\n"
+)
+
 
 class TestCheckCommand:
     def test_own_tree_is_clean(self, capsys):
@@ -237,8 +249,7 @@ class TestKernelPass:
         (pkg / "__init__.py").write_text("")
         (pkg / "scheme.py").write_text(
             "import random\n\n\n"
-            "class BadScheme:\n"
-            "    supports_batch = True\n"
+            + UNGUARDED_HIT_RUN
         )
         assert main(["check", str(pkg), "--kernel",
                      "--select", "KER004",
@@ -284,10 +295,7 @@ class TestKernelPass:
             "def drive(trace):\n"
             "    return random.random()\n"
         )
-        (pkg / "scheme.py").write_text(
-            "class BadScheme:\n"
-            "    supports_batch = True\n"
-        )
+        (pkg / "scheme.py").write_text(UNGUARDED_HIT_RUN)
         baseline = tmp_path / "baseline.json"
         assert main(["check", str(pkg), "--deep", "--kernel",
                      "--update-baseline", "--baseline", str(baseline)]) == 0
@@ -312,10 +320,7 @@ def _four_pass_fixture(tmp_path):
         "def drive(trace):\n"
         "    return random.random()\n"
     )
-    (pkg / "scheme.py").write_text(
-        "class BadScheme:\n"
-        "    supports_batch = True\n"
-    )
+    (pkg / "scheme.py").write_text(UNGUARDED_HIT_RUN)
     (pkg / "hotpath.py").write_text(
         "class SlowCache:\n"
         "    def __init__(self):\n"

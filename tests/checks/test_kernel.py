@@ -372,85 +372,6 @@ class TestCrossSlabKER003:
 
 
 class TestBatchContractKER004:
-    def test_supports_batch_without_entry_points(self, tmp_path):
-        findings = kernel(tmp_path, {"scheme.py": """\
-            class BadScheme:
-                supports_batch = True
-
-                def access(self, block):
-                    return True
-        """})
-        assert rules_of(findings) == ["KER004"]
-        assert findings[0].line == 2
-        assert "supports_batch" in findings[0].message
-
-    def test_inherited_entry_point_satisfies(self, tmp_path):
-        findings = kernel(tmp_path, {"scheme.py": """\
-            class Base:
-                def access_hit_run(self, blocks):
-                    return 0
-
-
-            class GoodScheme(Base):
-                supports_batch = True
-        """})
-        assert findings == []
-
-    def test_half_pair_override(self, tmp_path):
-        findings = kernel(tmp_path, {"policy.py": """\
-            class ReplacementPolicy:
-                def access_batch(self, blocks):
-                    return None
-
-                def hit_run(self, blocks):
-                    return 0
-
-
-            class HalfPolicy(ReplacementPolicy):
-                def access_batch(self, blocks):
-                    return None
-        """})
-        assert rules_of(findings) == ["KER004"]
-        assert findings[0].line == 10
-        assert "without hit_run" in findings[0].message
-
-    def test_full_pair_override_is_clean(self, tmp_path):
-        findings = kernel(tmp_path, {"policy.py": """\
-            class ReplacementPolicy:
-                def access_batch(self, blocks):
-                    return None
-
-                def hit_run(self, blocks):
-                    return 0
-
-
-            class FullPolicy(ReplacementPolicy):
-                def access_batch(self, blocks):
-                    return None
-
-                def hit_run(self, blocks):
-                    return 0
-        """})
-        assert findings == []
-
-    def test_frozen_batchresult_mutation(self, tmp_path):
-        findings = kernel(tmp_path, {"drive.py": """\
-            from pkg.results import BatchResult
-
-
-            def merge(chunks):
-                result = BatchResult()
-                result.hits = ()
-                result.offsets.append(1)
-                return result
-        """, "results.py": """\
-            class BatchResult:
-                pass
-        """})
-        assert rules_of(findings) == ["KER004", "KER004"]
-        assert [f.line for f in findings] == [6, 7]
-        assert all("frozen BatchResult" in f.message for f in findings)
-
     def test_unguarded_fast_path_touch(self, tmp_path):
         findings = kernel(tmp_path, {"policy.py": """\
             class Policy:

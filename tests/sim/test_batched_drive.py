@@ -25,6 +25,7 @@ from repro.errors import ConfigurationError
 from repro.hierarchy import (
     AggregateLRUOracle,
     IndependentScheme,
+    MultiLevelScheme,
     ULCMultiScheme,
     ULCScheme,
     UnifiedLRUScheme,
@@ -101,10 +102,14 @@ def test_multi_client_batched_equals_scalar(batch_size):
 
 
 def test_unbatchable_scheme_falls_back_to_scalar():
-    """A scheme without ``supports_batch`` ignores ``batch_size``."""
+    """A scheme without a hit-run kernel inherits the consume-nothing
+    ``access_hit_run``, so the batched drive runs it per reference."""
     trace = zipf_trace(num_blocks=256, num_refs=2000, seed=4)
     costs = paper_three_level()
-    assert not AggregateLRUOracle.supports_batch
+    assert (
+        AggregateLRUOracle.access_hit_run
+        is MultiLevelScheme.access_hit_run
+    )
     scalar = Engine(AggregateLRUOracle([32, 64, 128]), costs).drive(trace)
     batched = Engine(AggregateLRUOracle([32, 64, 128]), costs).drive(
         trace, batch_size=64
