@@ -38,7 +38,9 @@ bench:
 		--baseline BENCH_core_ops.json --output bench_smoke.json
 
 # Full-length run of the suite including the batched scenarios and the
-# >=5x batched-vs-committed-single-step speedup gate (same gate CI's
+# >=5x batched-vs-committed-single-step speedup gate: the
+# Engine.collect(batch_size=1024) drive over a warm one-level indLRU
+# against the committed lru_access_throughput (same gate CI's
 # bench-smoke job enforces at smoke scale).
 bench-batched:
 	$(PYTHON) -m repro bench --threshold 0.30 --batch-size 1024 \
