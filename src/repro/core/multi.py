@@ -53,7 +53,17 @@ from __future__ import annotations
 
 from collections import ChainMap, OrderedDict
 from dataclasses import dataclass
-from typing import Container, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.events import AccessEvent, Demotion
 from repro.core.protocol import check_templru
@@ -632,22 +642,38 @@ class ULCMultiSystem:
         return engine.access(block, count_notice_messages=messages)
 
     def access_hit_run(  # repro: hot
-        self, clients: Sequence[int], blocks: Sequence[Block]
+        self,
+        clients: Iterable[int],
+        blocks: Sequence[Block],
+        record: Optional[Callable[[AccessEvent], object]] = None,
+        hits: Optional[List[int]] = None,
     ) -> int:
-        """Fast-forward through a stretch of pure client-cache hits.
+        """Serve the pure client-cache hits of a run of references.
 
-        ``clients`` and ``blocks`` are parallel arrays. A reference is a
-        trivial hit when its client has no pending eviction notices and
-        the block is tracked at that client's level 1: the fused
+        ``clients`` and ``blocks`` are parallel. A reference is a pure
+        hit when its client is in range, has no pending eviction
+        notices and tracks the block at its level 1: the fused
         :meth:`ULCMultiClient.access` then takes its first branch,
         ``stack.touch(node, 1)`` with no server effects, demotions or
-        messages. Stops before the first reference needing the full
-        protocol; returns the number consumed.
+        messages. This loop performs just that touch for such a
+        reference, without building the event, and returns how many it
+        served.
+
+        With no ``record`` the loop stops before the first reference
+        needing the full protocol (the batched drive's probe). With
+        ``record`` it runs every reference, sending each other one
+        through :meth:`access` and its event to ``record``. Each hit is
+        also counted in ``hits[client]`` as it is served, so a caller
+        can fold exactly the hits served before a reference that
+        raised.
         """
         handles = self._hit_run_handles
         num_clients = self._num_clients
         pending = self._owed
-        count = 0
+        access = self.access
+        if hits is None:
+            hits = [0] * num_clients
+        served = sum(hits)
         # Zero-copy lazy views, not .tolist(): the caller may probe a
         # large window that stops after a few references, and this
         # kernel must cost O(consumed), not O(window).
@@ -656,17 +682,17 @@ class ULCMultiSystem:
         if hasattr(blocks, "tolist"):
             blocks = memoryview(blocks)
         for client, block in zip(clients, blocks):
-            if not 0 <= client < num_clients:
+            if 0 <= client < num_clients and client not in pending:
+                nodes, touch = handles[client]
+                node = nodes.get(block)
+                if node is not None and node.level == 1:
+                    touch(node, 1)
+                    hits[client] += 1
+                    continue
+            if record is None:
                 break
-            if client in pending:
-                break
-            nodes, touch = handles[client]
-            node = nodes.get(block)
-            if node is None or node.level != 1:
-                break
-            touch(node, 1)
-            count += 1
-        return count
+            record(access(client, block))
+        return sum(hits) - served
 
     def check_invariants(self) -> None:
         """Validate every client's invariants plus tier occupancy."""

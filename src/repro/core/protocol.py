@@ -28,7 +28,7 @@ costs are attached later by the simulator.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.events import AccessEvent, Demotion
 from repro.core.stack import UniLRUStack
@@ -171,32 +171,53 @@ class ULCClient:
                 temp.popitem(last=False)
         return event
 
-    def access_hit_run(self, blocks: Sequence[Block]) -> int:  # repro: hot
-        """Fast-forward through a leading stretch of pure level-1 hits.
+    def access_hit_run(  # repro: hot
+        self,
+        blocks: Sequence[Block],
+        record: Optional[Callable[[AccessEvent], object]] = None,
+        hits: Optional[List[int]] = None,
+    ) -> int:
+        """Serve the pure level-1 hits of a run of references.
 
         A reference to a block tracked at level 1 is a *pure* level-1
         hit: :meth:`access` takes its first branch — exactly
         ``stack.touch(node, 1)``, an event with ``hit_level=1``/
         ``placed_level=1`` and no demotions, evictions, temp activity or
-        messages. This loop performs just that touch per reference and
-        stops before the first reference that needs the full protocol.
-        Returns the number of references consumed.
+        messages. This loop performs just that touch for such a
+        reference, without building the event, and returns how many
+        it served.
+
+        With no ``record`` the loop stops before the first reference
+        that needs the full protocol (the batched drive's probe). With
+        ``record`` it runs every reference, sending each other one
+        through :meth:`access` and its event to ``record``. The count is
+        also added to ``hits[0]`` when the loop ends, or when a
+        reference raises, so a caller can fold exactly the hits served
+        before it.
         """
         stack = self.stack
         nodes = stack._nodes
         touch = stack.touch
+        access = self.access
         count = 0
         if hasattr(blocks, "tolist"):
             # Zero-copy lazy view, not .tolist(): the caller may probe a
             # large window that stops after a few references, and this
             # kernel must cost O(consumed), not O(window).
             blocks = memoryview(blocks)
-        for block in blocks:
-            node = nodes.get(block)
-            if node is None or node.level != 1:
-                break
-            touch(node, 1)
-            count += 1
+        try:
+            for block in blocks:
+                node = nodes.get(block)
+                if node is not None and node.level == 1:
+                    touch(node, 1)
+                    count += 1
+                elif record is None:
+                    break
+                else:
+                    record(access(block))
+        finally:
+            if hits is not None:
+                hits[0] += count
         return count
 
     def _access_untracked(

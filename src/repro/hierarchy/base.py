@@ -10,18 +10,22 @@ indLRU, uniLRU, MQ, ULC and the oracles are interchangeable.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.events import AccessEvent
 from repro.errors import ConfigurationError
 from repro.policies.base import Block
 from repro.util.validation import check_int, check_positive
 
+if TYPE_CHECKING:
+    from repro.sim.metrics import MetricsCollector
+
 
 class MultiLevelScheme(abc.ABC):
     """Abstract multi-level caching scheme.
 
-    Subclasses set :attr:`name` and implement :meth:`access`.
+    Subclasses set :attr:`name` and implement :meth:`access`; the drive
+    loop feeds them through :meth:`access_span`.
 
     Args:
         capacities: block capacity of each level, client (level 1)
@@ -49,6 +53,43 @@ class MultiLevelScheme(abc.ABC):
     @abc.abstractmethod
     def access(self, client: int, block: Block) -> AccessEvent:
         """Process one reference from ``client`` and report the outcome."""
+
+    # repro: hot
+    def access_span(
+        self,
+        clients: Optional[Sequence[int]],
+        blocks: Sequence[Block],
+        metrics: Optional["MetricsCollector"],
+    ) -> None:
+        """Process one span of references in order, folding each event
+        into ``metrics``.
+
+        ``clients`` and ``blocks`` are parallel (``clients`` is ``None``
+        when every reference is from client 0); ``metrics`` is ``None``
+        during warm-up, when events are dropped. This base loop calls
+        :meth:`access` once per reference and
+        :meth:`~repro.sim.metrics.MetricsCollector.record` once per
+        event. An override must leave the scheme and the collector
+        exactly as this loop would, also when a reference raises
+        mid-span; ULC's serves pure level-1 hits in its engine's
+        hit-run kernel and counts them in bulk.
+        """
+        access = self.access
+        if clients is None:
+            if metrics is None:
+                for block in blocks:
+                    access(0, block)
+            else:
+                record = metrics.record
+                for block in blocks:
+                    record(access(0, block))
+        elif metrics is None:
+            for client, block in zip(clients, blocks):
+                access(client, block)
+        else:
+            record = metrics.record
+            for client, block in zip(clients, blocks):
+                record(access(client, block))
 
     def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
         """Fast-forward through a leading stretch of *pure level-1 hits*.

@@ -9,7 +9,7 @@ the multi-client system over one or more shared tiers
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.core.events import AccessEvent
 from repro.core.multi import NOTIFY_PIGGYBACK, ULCMultiSystem
@@ -17,6 +17,13 @@ from repro.core.protocol import ULCClient
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.policies.base import Block
+
+if TYPE_CHECKING:
+    from repro.sim.metrics import MetricsCollector
+
+
+def _discard(event: AccessEvent) -> None:
+    """Event sink for warm-up spans, whose events are not measured."""
 
 
 class ULCScheme(MultiLevelScheme):
@@ -45,6 +52,32 @@ class ULCScheme(MultiLevelScheme):
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
         return self.engine.access(block, client)
+
+    # repro: hot
+    def access_span(
+        self,
+        clients: Optional[Sequence[int]],
+        blocks: Sequence[Block],
+        metrics: Optional["MetricsCollector"],
+    ) -> None:
+        """The engine's hit-run kernel over the whole span: pure
+        level-1 hits are served and counted in bulk, every other
+        reference goes through the engine's ``access``.
+
+        A span with client annotations holds a client other than 0, so
+        it takes the per-reference loop, which raises at that client.
+        """
+        if clients is not None:
+            super().access_span(clients, blocks, metrics)
+            return
+        if metrics is None:
+            self.engine.access_hit_run(blocks, _discard)
+            return
+        hits = [0]
+        try:
+            self.engine.access_hit_run(blocks, metrics.record, hits)
+        finally:
+            metrics.record_l1_hits(0, hits[0])
 
     def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
         """Delegate to the engine's pure level-1 hit kernel."""
@@ -107,6 +140,29 @@ class ULCMultiScheme(MultiLevelScheme):
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
         return self.system.access(client, block)
+
+    # repro: hot
+    def access_span(
+        self,
+        clients: Optional[Sequence[int]],
+        blocks: Sequence[Block],
+        metrics: Optional["MetricsCollector"],
+    ) -> None:
+        """The system's hit-run kernel over the whole span: pure
+        client-cache hits are served and counted per client in bulk,
+        every other reference (an out-of-range client included) goes
+        through the system's ``access``."""
+        system = self.system
+        run = repeat(0) if clients is None else clients
+        if metrics is None:
+            system.access_hit_run(run, blocks, _discard)
+            return
+        hits = [0] * self.num_clients
+        try:
+            system.access_hit_run(run, blocks, metrics.record, hits)
+        finally:
+            for client, count in enumerate(hits):
+                metrics.record_l1_hits(client, count)
 
     def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
         """Single-client run through the system's mixed-client kernel."""

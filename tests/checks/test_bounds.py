@@ -236,6 +236,54 @@ class TestBudgetsBND001:
         assert rules_of(findings) == ["BND001"]
         assert "O(n^2)" in findings[0].message
 
+    SPAN_HOOK = """\
+        class Scheme:
+            def access(self, client, block):
+                return block
+
+            def access_span(self, clients, blocks, metrics):
+                for block in blocks:
+                    metrics.record(self.access(0, block))
+
+
+        def _span_scalar(scheme: Scheme, blocks, metrics):
+            scheme.access_span(None, blocks, metrics)
+    """
+
+    RESCANNING_OVERRIDE = """\
+
+
+        class RescanningScheme(Scheme):
+            def access_span(self, clients, blocks, metrics):
+                for block in blocks:
+                    for other in blocks:
+                        if other == block:
+                            metrics.record(self.access(0, block))
+    """
+
+    def test_linear_span_hook_fits_the_drive_budget(self, tmp_path):
+        findings = bounds(
+            tmp_path, {"engine.py": self.SPAN_HOOK}, select=["BND001"]
+        )
+        assert findings == []
+
+    def test_span_hook_override_rescanning_the_span_is_flagged(
+        self, tmp_path
+    ):
+        # The drive loop calls the hook once per span, so the hook is
+        # costed through the drive's O(n) budget: an override that
+        # rescans the span for each reference makes the drive O(n^2).
+        source = (
+            textwrap.dedent(self.SPAN_HOOK)
+            + textwrap.dedent(self.RESCANNING_OVERRIDE)
+        )
+        findings = bounds(
+            tmp_path, {"engine.py": source}, select=["BND001"]
+        )
+        assert rules_of(findings) == ["BND001"]
+        assert "_span_scalar" in findings[0].message
+        assert "O(n^2)" in findings[0].message
+
 
 class TestChainWalksBND002:
     def test_unbounded_chain_walk_is_flagged(self, tmp_path):

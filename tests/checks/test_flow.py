@@ -432,16 +432,20 @@ class TestLiveTree:
 
     def test_call_graph_resolves_drive_fanout(self):
         # _drive_stream consumes the trace chunk-wise and delegates each
-        # span to the scalar/batched helpers; the dynamic scheme
-        # dispatch is resolved one hop below it.
+        # span to the scalar/batched helpers; _span_scalar hands its
+        # span to the scheme's access_span hook, and the dynamic scheme
+        # dispatch is resolved one hop below that.
         graph = Project([SRC_REPRO]).call_graph
         drive = "repro.sim.engine._drive_stream"
         callees = {site.callee for site in graph.successors(drive)}
         assert "repro.sim.engine._span_scalar" in callees
-        span = {
+        hooks = {
             site.callee
             for site in graph.successors("repro.sim.engine._span_scalar")
         }
+        base_hook = "repro.hierarchy.base.MultiLevelScheme.access_span"
+        assert base_hook in hooks
+        span = {site.callee for site in graph.successors(base_hook)}
         assert "repro.hierarchy.ulc.ULCScheme.access" in span
         assert "repro.sim.metrics.MetricsCollector.record" in span
 
