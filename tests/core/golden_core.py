@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Optional
 
 #: Traces driven through every engine: (name, family, kwargs).
 TRACES = (
@@ -126,8 +126,17 @@ def result_hash(result) -> str:
     return hashlib.sha256(encoded).hexdigest()
 
 
-def collect_run_hashes(check_invariants: int = 500) -> Dict[str, str]:
-    """Content hash of each scenario's RunResult, invariants checked."""
+def collect_run_hashes(
+    check_invariants: Optional[int] = 500,
+    batch_size: Optional[int] = None,
+) -> Dict[str, str]:
+    """Content hash of each scenario's RunResult.
+
+    The fixture's hashes come from checked runs (invariants validated
+    every ``check_invariants`` references). ``check_invariants=None``
+    runs the bare schemes, as users do, so that the drive reaches their
+    span and hit-run kernels; ``batch_size`` selects the batched drive.
+    """
     from repro.runner import CostSpec, RunSpec, WorkloadSpec, run_specs
     from repro.sim import paper_three_level, paper_two_level
 
@@ -158,7 +167,10 @@ def collect_run_hashes(check_invariants: int = 500) -> Dict[str, str]:
             num_clients=7,
         )
     )
-    results = run_specs(specs, check_invariants=check_invariants)
+    # batch_size is passed only when set, so the collection still runs
+    # unchanged on engines whose run_specs predates the option.
+    options = {} if batch_size is None else {"batch_size": batch_size}
+    results = run_specs(specs, check_invariants=check_invariants, **options)
     return {
         f"{spec.scheme}{list(spec.capacities)}": result_hash(result)
         for spec, result in zip(specs, results)
