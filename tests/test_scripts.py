@@ -153,3 +153,45 @@ def test_bench_pairs_smoke_head_against_head():
     for name in ("op_s", "fast_op_s", "setup_s", "peak_rss_mib"):
         assert f"  {name} (" in result.stdout
     assert "change wins" in result.stdout
+
+
+def test_compare_cache_dirs(tmp_path, capsys):
+    """Checked and unchecked runs fill two caches with the same results;
+    an edited or a missing entry is reported."""
+    import json
+
+    from repro.runner import CostSpec, RunSpec, WorkloadSpec, run_specs
+
+    spec = importlib.util.spec_from_file_location(
+        "compare_cache_dirs", REPO / "scripts" / "compare_cache_dirs.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    specs = [
+        RunSpec(
+            scheme="ulc",
+            capacities=capacities,
+            workload=WorkloadSpec(
+                "multi", "httpd", {"scale": 0.02, "num_refs": 2000}
+            ),
+            costs=CostSpec((0.0, 1.0), 11.2, (1.0,)),
+            num_clients=7,
+        )
+        for capacities in ((8, 32), (16, 32))
+    ]
+    checked, unchecked = tmp_path / "checked", tmp_path / "unchecked"
+    run_specs(specs, cache_dir=checked, check_invariants=50)
+    run_specs(specs, cache_dir=unchecked)
+    assert script.main([str(checked), str(unchecked)]) == 0
+    assert "2 entries compared: identical" in capsys.readouterr().out
+
+    first, second = sorted(unchecked.glob("*/*.json"))
+    payload = json.loads(first.read_text())
+    payload["result"]["miss_rate"] += 1e-12
+    first.write_text(json.dumps(payload))
+    second.unlink()
+    assert script.main([str(checked), str(unchecked)]) == 1
+    out = capsys.readouterr().out
+    assert f"results differ: {first.stem}" in out
+    assert f"only in {checked}: {second.stem}" in out
+    assert script.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
