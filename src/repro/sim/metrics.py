@@ -85,10 +85,10 @@ class MetricsCollector:
 
         A *pure* level-1 hit is an event with ``hit_level == 1`` and no
         other effects (no temp serve, no demotions, no evictions, no
-        control messages) — exactly what the batched drive loop's
-        ``access_hit_run`` fast path produces. For such events only three
-        integer counters move, so one bulk call is identical to ``count``
-        :meth:`record` calls.
+        control messages) — exactly what a hit-run kernel serves, in
+        the batched drive's probes and in ULC's ``access_span``. For
+        such events only three integer counters move, so one bulk call
+        is identical to ``count`` :meth:`record` calls.
         """
         if count <= 0:
             return
