@@ -1,10 +1,13 @@
-"""Event-stream fixture for the list-based replacement policies.
+"""Event-stream fixture for the dict-based replacement policies.
 
-``tests/data/golden_policy_streams.json`` holds, for ARC, 2Q, LFU and
-LIRS at capacities 1, 2, 3, 8 and 128 on every trace below, the
+``tests/data/golden_policy_streams.json`` holds, for ARC, 2Q, LFU,
+LIRS, S3-FIFO, W-TinyLFU, LeCaR and MQ at capacities 1, 2, 3, 8 and 128
+on every trace below, the
 :func:`tests.core.golden_core.stream_digest` of the
 ``(AccessResult, victim())`` stream and a digest of the final
-``list(resident())``. Every :data:`REMOVE_EVERY` references one
+``list(resident())``. The last four also run with one non-default
+parameter set each (:data:`PARAMETERS`), which reaches branches their
+defaults skip. Every :data:`REMOVE_EVERY` references one
 resident block, picked by a seeded generator from the sorted resident
 set, is invalidated with ``remove``; the victim recorded for that step
 is read after the removal. The traces are the two
@@ -27,7 +30,18 @@ from typing import Dict, List, Tuple
 
 from tests.core.golden_core import TRACES, stream_digest
 
-POLICIES = ("arc", "2q", "lfu", "lirs")
+POLICIES = ("arc", "2q", "lfu", "lirs", "s3fifo", "wtinylfu", "lecar", "mq")
+
+#: One non-default parameter set per policy: MQ without a ghost queue
+#: and with frequent ``Adjust`` demotions, a large S3-FIFO small queue
+#: over a short ghost queue, a wide W-TinyLFU window over an even main
+#: split, and a fast-learning LeCaR on another seed.
+PARAMETERS: Dict[str, Dict[str, object]] = {
+    "mq": {"num_queues": 2, "life_time": 3, "ghost_capacity": 0},
+    "s3fifo": {"small_fraction": 0.5, "ghost_factor": 0.5},
+    "wtinylfu": {"window_fraction": 0.3, "protected_fraction": 0.5},
+    "lecar": {"seed": 5, "learning_rate": 2.0},
+}
 CAPACITIES = (1, 2, 3, 8, 128)
 
 #: References in each synthetic (loop and scan-storm) trace.
@@ -78,11 +92,35 @@ def traces(capacity: int) -> List[Tuple[str, List[int]]]:
     return out
 
 
-def case_digest(policy_name: str, capacity: int, blocks: List[int]):
+def case_key(policy_name: str, kwargs: Dict[str, object]) -> str:
+    """Fixture key of a policy under ``kwargs``: its name, then any
+    parameters as ``name(key=value,...)``."""
+    if not kwargs:
+        return policy_name
+    params = ",".join(f"{key}={value}" for key, value in kwargs.items())
+    return f"{policy_name}({params})"
+
+
+#: Fixture key -> (policy name, constructor keyword arguments).
+CASES: Dict[str, Tuple[str, Dict[str, object]]] = {
+    name: (name, {}) for name in POLICIES
+}
+CASES.update(
+    (case_key(name, kwargs), (name, kwargs))
+    for name, kwargs in PARAMETERS.items()
+)
+
+
+def case_digest(
+    policy_name: str,
+    capacity: int,
+    blocks: List[int],
+    kwargs: Dict[str, object],
+):
     """Stream and final-residency digests of one case."""
     from repro.policies import make_policy
 
-    policy = make_policy(policy_name, capacity)
+    policy = make_policy(policy_name, capacity, **kwargs)
     rng = random.Random(REMOVE_SEED)
     outcomes = []
     for step, block in enumerate(blocks, start=1):
@@ -99,10 +137,14 @@ def case_digest(policy_name: str, capacity: int, blocks: List[int]):
     }
 
 
-def policy_digests(policy_name: str) -> Dict[str, Dict[str, object]]:
-    """Digests of one policy at every capacity on every trace."""
+def policy_digests(case: str) -> Dict[str, Dict[str, object]]:
+    """Digests of one :data:`CASES` entry at every capacity on every
+    trace."""
+    policy_name, kwargs = CASES[case]
     return {
-        f"{capacity}/{name}": case_digest(policy_name, capacity, blocks)
+        f"{capacity}/{name}": case_digest(
+            policy_name, capacity, blocks, kwargs
+        )
         for capacity in CAPACITIES
         for name, blocks in traces(capacity)
     }
@@ -110,7 +152,7 @@ def policy_digests(policy_name: str) -> Dict[str, Dict[str, object]]:
 
 def collect() -> Dict[str, Dict[str, Dict[str, object]]]:
     """The whole fixture document."""
-    return {name: policy_digests(name) for name in POLICIES}
+    return {case: policy_digests(case) for case in CASES}
 
 
 if __name__ == "__main__":
