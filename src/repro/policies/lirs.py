@@ -27,9 +27,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
 
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.validation import check_positive
+from repro.util.validation import check_finite, check_positive
 
 _LIR = "LIR"
 _HIR_RESIDENT = "HIRr"
@@ -57,10 +57,11 @@ class LIRSPolicy(ReplacementPolicy):
     ) -> None:
         super().__init__(capacity)
         if not 0 < hir_fraction < 1:
-            raise ProtocolError(
-                f"hir_fraction must be in (0, 1), got {hir_fraction}"
+            raise ConfigurationError(
+                f"hir_fraction must be in (0, 1), got {hir_fraction!r}"
             )
         check_positive("ghost_factor", ghost_factor)
+        check_finite("ghost_factor", ghost_factor)
         self.hir_size = max(1, int(round(capacity * hir_fraction)))
         if self.hir_size >= capacity:
             self.hir_size = max(1, capacity - 1) if capacity > 1 else 1

@@ -8,6 +8,7 @@ rather than deep inside a simulation run.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, TypeVar, Union
 
 from repro.errors import ConfigurationError
@@ -20,6 +21,13 @@ def check_positive(name: str, value: Number) -> Number:
     """Require ``value > 0``."""
     if not value > 0:
         raise ConfigurationError(f"{name} must be > 0, got {value!r}")
+    return value
+
+
+def check_finite(name: str, value: Number) -> Number:
+    """Require a finite number (no ``nan``, no infinity)."""
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
     return value
 
 

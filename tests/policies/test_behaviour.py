@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ProtocolError, UnknownPolicyError
+from repro.errors import ConfigurationError, ProtocolError, UnknownPolicyError
 from repro.policies import (
     ARCPolicy,
     CLOCKPolicy,
@@ -331,7 +331,7 @@ class TestLIRS:
         assert lirs > lru
 
     def test_invalid_hir_fraction(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ConfigurationError):
             LIRSPolicy(4, hir_fraction=0.0)
 
 

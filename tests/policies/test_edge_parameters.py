@@ -5,7 +5,50 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.policies import LIRSPolicy, MQPolicy, OPTPolicy, TwoQPolicy
+from repro.policies import (
+    LeCaRPolicy,
+    LIRSPolicy,
+    MQPolicy,
+    OPTPolicy,
+    S3FIFOPolicy,
+    TwoQPolicy,
+)
+
+NAN = float("nan")
+INF = float("inf")
+
+#: Parameters each policy must refuse at construction, before the first
+#: reference: out of range, not a number, or infinite.
+BAD_PARAMETERS = [
+    (S3FIFOPolicy, "ghost_factor", 0),
+    (S3FIFOPolicy, "ghost_factor", -1.0),
+    (S3FIFOPolicy, "ghost_factor", NAN),
+    (S3FIFOPolicy, "ghost_factor", INF),
+    (LeCaRPolicy, "learning_rate", 0),
+    (LeCaRPolicy, "learning_rate", NAN),
+    (LeCaRPolicy, "learning_rate", INF),
+    (LeCaRPolicy, "discount_base", 0),
+    (LeCaRPolicy, "discount_base", 1.5),
+    (LeCaRPolicy, "discount_base", NAN),
+    (LeCaRPolicy, "history_factor", NAN),
+    (LeCaRPolicy, "history_factor", INF),
+    (LIRSPolicy, "hir_fraction", 0.0),
+    (LIRSPolicy, "hir_fraction", 1.0),
+    (LIRSPolicy, "hir_fraction", NAN),
+    (LIRSPolicy, "ghost_factor", INF),
+]
+
+
+@pytest.mark.parametrize(
+    "policy, name, value",
+    [
+        pytest.param(*case, id=f"{case[0].name}-{case[1]}={case[2]}")
+        for case in BAD_PARAMETERS
+    ],
+)
+def test_bad_parameter_is_a_configuration_error(policy, name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        policy(8, **{name: value})
 
 
 class TestMQParameters:
