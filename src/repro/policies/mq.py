@@ -18,6 +18,11 @@ evicted block identities:
 
 This is the comparison scheme used in Figure 7 of the ULC paper (LRU at
 the client, MQ at the server).
+
+Each queue is an ``OrderedDict`` from block to its ``expire_time``, whose
+first key is the LRU end; two dicts hold each resident block's reference
+count and queue index, and Qout is an ``OrderedDict`` from block to its
+reference count at eviction.
 """
 
 from __future__ import annotations
@@ -27,19 +32,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.intlist import SENTINEL, IntLinkedList, IntSlab
 from repro.util.validation import check_int, check_non_negative, check_positive
-
-
-class _MQEntry:
-    __slots__ = ("block", "frequency", "expire_time", "queue_index", "slot")
-
-    def __init__(self, block: Block, frequency: int) -> None:
-        self.block = block
-        self.frequency = frequency
-        self.expire_time = 0
-        self.queue_index = 0
-        self.slot = -1
 
 
 class MQPolicy(ReplacementPolicy):
@@ -75,44 +68,31 @@ class MQPolicy(ReplacementPolicy):
             ghost_capacity if ghost_capacity is not None else 4 * capacity
         )
         check_non_negative("ghost_capacity", self.ghost_capacity)
-        # All queues share one slab: a resident block owns one slot and
-        # queue demotion is a pure relink of that slot.
-        self._slab = IntSlab()
-        self._queues: List[IntLinkedList] = [
-            IntLinkedList(self._slab) for _ in range(num_queues)
+        # Queue i: block -> expire_time, LRU first.
+        self._queues: List["OrderedDict[Block, int]"] = [
+            OrderedDict() for _ in range(num_queues)
         ]
-        self._entries: Dict[Block, _MQEntry] = {}
-        self._entry_at: List[Optional[_MQEntry]] = [None]
+        self._frequency: Dict[Block, int] = {}
+        self._queue_index: Dict[Block, int] = {}
         # Qout: block -> frequency at eviction, FIFO order preserved.
         self._ghost: "OrderedDict[Block, int]" = OrderedDict()
         self._time = 0
 
     # -- plumbing -----------------------------------------------------------
 
-    def _queue_for(self, frequency: int) -> int:
-        index = max(0, frequency.bit_length() - 1)  # floor(log2(f))
-        return min(index, self.num_queues - 1)
+    def _enqueue(self, block: Block, frequency: int) -> None:
+        """Place ``block`` at the MRU end of the queue of ``frequency``
+        with a fresh expiry time."""
+        # floor(log2(f)), clamped to the top queue
+        index = min(max(0, frequency.bit_length() - 1), self.num_queues - 1)
+        self._frequency[block] = frequency
+        self._queue_index[block] = index
+        self._queues[index][block] = self._time + self.life_time
 
-    def _enqueue(self, entry: _MQEntry) -> None:
-        entry.queue_index = self._queue_for(entry.frequency)
-        entry.expire_time = self._time + self.life_time
-        if entry.slot < 0:
-            slot = self._slab.alloc()
-            if slot == len(self._entry_at):
-                self._entry_at.append(entry)
-            else:
-                self._entry_at[slot] = entry
-            entry.slot = slot
-        self._queues[entry.queue_index].push_front(entry.slot)
-        self._entries[entry.block] = entry
-
-    def _dequeue(self, block: Block) -> _MQEntry:
-        entry = self._entries.pop(block)
-        self._queues[entry.queue_index].remove(entry.slot)
-        self._entry_at[entry.slot] = None
-        self._slab.free(entry.slot)
-        entry.slot = -1
-        return entry
+    def _dequeue(self, block: Block) -> int:
+        """Drop ``block`` from its queue; returns its reference count."""
+        del self._queues[self._queue_index.pop(block)][block]
+        return self._frequency.pop(block)
 
     # repro: bound O(1) amortized -- Zhou's Adjust(): each demotion
     # moves a block one queue down, prepaid by the promotion that
@@ -120,21 +100,16 @@ class MQPolicy(ReplacementPolicy):
     def _adjust(self) -> None:
         """Demote expired LRU blocks one queue down (Zhou's Adjust())."""
         time = self._time
-        entry_at = self._entry_at
+        queues = self._queues
         for index in range(1, self.num_queues):
-            queue = self._queues[index]
-            lower = self._queues[index - 1]
-            while queue.size:
-                tail = queue.prev[SENTINEL]
-                entry = entry_at[tail]
-                if entry is None:
-                    raise ProtocolError("non-empty MQ queue has no tail")
-                if entry.expire_time >= time:
+            queue = queues[index]
+            while queue:
+                block = next(iter(queue))
+                if queue[block] >= time:
                     break
-                queue.remove(tail)
-                entry.queue_index = index - 1
-                entry.expire_time = time + self.life_time
-                lower.push_front(tail)
+                del queue[block]
+                self._queue_index[block] = index - 1
+                queues[index - 1][block] = time + self.life_time
 
     # repro: bound O(1) amortized -- the ghost trim pops at most the
     # entries earlier calls pushed
@@ -150,17 +125,19 @@ class MQPolicy(ReplacementPolicy):
     # -- ReplacementPolicy interface ----------------------------------------
 
     def __contains__(self, block: Block) -> bool:
-        return block in self._entries
+        return block in self._frequency
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._frequency)
 
     def touch(self, block: Block) -> None:
-        self._require_resident(block)
+        index = self._queue_index.get(block)
+        if index is None:
+            self._require_resident(block)
+            return  # pragma: no cover - _require_resident raised
         self._time += 1
-        entry = self._dequeue(block)
-        entry.frequency += 1
-        self._enqueue(entry)
+        del self._queues[index][block]
+        self._enqueue(block, self._frequency[block] + 1)
         self._adjust()
 
     def insert(self, block: Block) -> List[Block]:
@@ -171,12 +148,9 @@ class MQPolicy(ReplacementPolicy):
             victim = self.victim()
             if victim is None:
                 raise ProtocolError("MQ full but no victim available")
-            entry = self._dequeue(victim)
-            self._remember_ghost(victim, entry.frequency)
+            self._remember_ghost(victim, self._dequeue(victim))
             evicted.append(victim)
-        remembered = self._ghost.pop(block, 0)
-        entry = _MQEntry(block, remembered + 1)
-        self._enqueue(entry)
+        self._enqueue(block, self._ghost.pop(block, 0) + 1)
         self._adjust()
         return evicted
 
@@ -185,33 +159,59 @@ class MQPolicy(ReplacementPolicy):
         self._dequeue(block)
 
     def victim(self) -> Optional[Block]:
-        if not self.full or not self._entries:
+        if not self.full or not self._frequency:
             return None
         for queue in self._queues:
-            if queue.size:
-                entry = self._entry_at[queue.prev[SENTINEL]]
-                return None if entry is None else entry.block
+            if queue:
+                return next(iter(queue))
         return None  # pragma: no cover - unreachable
 
     def resident(self) -> Iterator[Block]:
-        entry_at = self._entry_at
         for queue in self._queues:
-            for slot in queue:
-                entry = entry_at[slot]
-                if entry is not None:
-                    yield entry.block
+            yield from reversed(queue)
+
+    def check_invariants(self) -> None:
+        super().check_invariants()
+        queued = sum(len(queue) for queue in self._queues)
+        if queued != len(self._frequency) or queued != len(self._queue_index):
+            raise ProtocolError(
+                f"mq: queues hold {queued} blocks, counts track "
+                f"{len(self._frequency)} and queue indices "
+                f"{len(self._queue_index)}"
+            )
+        for index, queue in enumerate(self._queues):
+            for block in queue:
+                if self._queue_index.get(block) != index:
+                    raise ProtocolError(
+                        f"mq: block {block!r} in queue {index} is indexed "
+                        f"at queue {self._queue_index.get(block)}"
+                    )
+                if self._frequency.get(block, 0) < 1:
+                    raise ProtocolError(
+                        f"mq: block {block!r} has reference count "
+                        f"{self._frequency.get(block)}"
+                    )
+        if len(self._ghost) > self.ghost_capacity:
+            raise ProtocolError(
+                f"mq: {len(self._ghost)} ghosts exceed {self.ghost_capacity}"
+            )
+        for block in self._ghost:
+            if block in self._frequency:
+                raise ProtocolError(
+                    f"mq: block {block!r} both resident and ghost"
+                )
 
     # -- introspection for tests ---------------------------------------------
 
     def queue_of(self, block: Block) -> int:
         """Queue index a resident block currently sits in."""
         self._require_resident(block)
-        return self._entries[block].queue_index
+        return self._queue_index[block]
 
     def frequency_of(self, block: Block) -> int:
         """Reference count of a resident block."""
         self._require_resident(block)
-        return self._entries[block].frequency
+        return self._frequency[block]
 
     def in_ghost(self, block: Block) -> bool:
         """Whether Qout currently remembers ``block``."""

@@ -12,22 +12,22 @@ counters plus a *doorkeeper* set that absorbs first occurrences; every
 ``sample_size`` recorded references the sketch is halved and the
 doorkeeper cleared (the aging scheme that keeps estimates fresh).
 
-All three resident lists are slab lists over one shared
-:class:`~repro.util.intlist.IntSlab`; hashing is ``zlib.crc32`` with
-per-row salts, so estimates are deterministic across processes (no
-reliance on randomised ``hash()``).
+The three resident lists are ``OrderedDict``s whose first key is the
+LRU end, and one dict names each resident block's list. Hashing is
+``zlib.crc32`` with per-row salts, so estimates are deterministic
+across processes (no reliance on randomised ``hash()``).
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.intlist import IntLinkedList, IntSlab
 from repro.util.validation import check_fraction
 
 #: Sketch counters saturate here (4 bits in Caffeine).
@@ -38,7 +38,8 @@ _PROBATION = "probation"
 _PROTECTED = "protected"
 
 #: Block ids reach the sketch as Python ints (scalar path) and numpy
-#: scalars (batch path); both must hash to the same counters.
+#: scalars (the default ``hit_run`` loop over an array); both must hash
+#: to the same counters.
 _INTEGRAL = (int, np.integer)
 
 
@@ -149,109 +150,81 @@ class WTinyLFUPolicy(ReplacementPolicy):
             self.window_target = capacity  # pragma: no cover - defensive
         self.main_target = capacity - self.window_target
         self.protected_target = int(self.main_target * protected_fraction)
-        self._slab = IntSlab()
-        self._window = IntLinkedList(self._slab)
-        self._probation = IntLinkedList(self._slab)
-        self._protected = IntLinkedList(self._slab)
+        self._window: "OrderedDict[Block, None]" = OrderedDict()
+        self._probation: "OrderedDict[Block, None]" = OrderedDict()
+        self._protected: "OrderedDict[Block, None]" = OrderedDict()
         self._lists = {
             _WINDOW: self._window,
             _PROBATION: self._probation,
             _PROTECTED: self._protected,
         }
-        self._slots: Dict[Block, int] = {}
-        self._block_at: List[Optional[Block]] = [None]
-        self._region: List[str] = [""]
+        # Every resident block -> the name of the list holding it.
+        self._region: Dict[Block, str] = {}
         self._sketch = _FrequencySketch(capacity)
 
     def __contains__(self, block: Block) -> bool:
-        return block in self._slots
+        return block in self._region
 
     def __len__(self) -> int:
-        return len(self._slots)
-
-    # -- slab bookkeeping --------------------------------------------------
-
-    def _alloc(self, block: Block, region: str) -> int:
-        slot = self._slab.alloc()
-        if slot == len(self._block_at):
-            self._block_at.append(block)
-            self._region.append(region)
-        else:
-            self._block_at[slot] = block
-            self._region[slot] = region
-        self._slots[block] = slot
-        return slot
-
-    def _release(self, slot: int) -> Block:
-        block = self._block_at[slot]
-        self._block_at[slot] = None
-        self._region[slot] = ""
-        self._slab.free(slot)
-        del self._slots[block]
-        return block
+        return len(self._region)
 
     # -- internals ---------------------------------------------------------
 
-    def _main_victim_slot(self) -> Optional[int]:
-        """Slot the main region would evict next (probation LRU first)."""
-        if self._probation.size:
-            return self._probation.tail
-        if self._protected.size:
-            return self._protected.tail
+    def _main_victim(self) -> Optional[Block]:
+        """Block the main region would evict next (probation LRU first)."""
+        if self._probation:
+            return next(iter(self._probation))
+        if self._protected:
+            return next(iter(self._protected))
         return None
 
     def _demote_window_tail(self) -> Optional[Block]:
         """Move the window LRU into the main region through the TinyLFU
         admission duel; returns the evicted block, if any."""
-        slot = self._window.pop_back()
-        candidate = self._block_at[slot]
-        if (
-            self._probation.size + self._protected.size < self.main_target
-        ):
-            self._region[slot] = _PROBATION
-            self._probation.push_front(slot)
+        region = self._region
+        candidate = self._window.popitem(last=False)[0]
+        if len(self._probation) + len(self._protected) < self.main_target:
+            region[candidate] = _PROBATION
+            self._probation[candidate] = None
             return None
-        victim_slot = self._main_victim_slot()
-        if victim_slot is None:
-            # Degenerate split (main_target == 0): the candidate itself
-            # is the eviction victim.
-            return self._release(slot)
-        victim_block = self._block_at[victim_slot]
-        if self._sketch.estimate(candidate) > self._sketch.estimate(
-            victim_block
+        victim = self._main_victim()
+        sketch = self._sketch
+        if victim is not None and (
+            sketch.estimate(candidate) > sketch.estimate(victim)
         ):
-            victim_list = self._lists[self._region[victim_slot]]
-            victim_list.remove(victim_slot)
-            evicted = self._release(victim_slot)
-            self._region[slot] = _PROBATION
-            self._probation.push_front(slot)
-            return evicted
-        return self._release(slot)
+            del self._lists[region.pop(victim)][victim]
+            region[candidate] = _PROBATION
+            self._probation[candidate] = None
+            return victim
+        # The candidate loses the duel, or the main region has no room
+        # at all (main_target == 0): the candidate itself is evicted.
+        del region[candidate]
+        return candidate
 
     # -- ReplacementPolicy interface ---------------------------------------
 
     def touch(self, block: Block) -> None:
-        slot = self._slots.get(block)
-        if slot is None:
+        region = self._region.get(block)
+        if region is None:
             self._require_resident(block)
             return  # pragma: no cover - _require_resident raised
         self._sketch.record(block)
-        region = self._region[slot]
         if region == _WINDOW:
-            self._window.move_to_front(slot)
+            self._window.move_to_end(block)
             return
+        protected = self._protected
         if region == _PROTECTED:
-            self._protected.move_to_front(slot)
+            protected.move_to_end(block)
             return
         # Probation hit: promote to protected, demoting its LRU back to
         # probation when the segment overflows.
-        self._probation.remove(slot)
-        self._region[slot] = _PROTECTED
-        self._protected.push_front(slot)
-        if self._protected.size > max(1, self.protected_target):
-            demoted = self._protected.pop_back()
+        del self._probation[block]
+        self._region[block] = _PROTECTED
+        protected[block] = None
+        if len(protected) > max(1, self.protected_target):
+            demoted = protected.popitem(last=False)[0]
             self._region[demoted] = _PROBATION
-            self._probation.push_front(demoted)
+            self._probation[demoted] = None
 
     # repro: bound O(1) amortized -- each window-overflow iteration
     # demotes one block that exactly one insertion pushed
@@ -261,8 +234,9 @@ class WTinyLFUPolicy(ReplacementPolicy):
         evicted: List[Block] = []
         window = self._window
         target = self.window_target
-        window.push_front(self._alloc(block, _WINDOW))
-        while window.size > target:
+        self._region[block] = _WINDOW
+        window[block] = None
+        while len(window) > target:
             victim = self._demote_window_tail()
             if victim is not None:
                 evicted.append(victim)
@@ -270,9 +244,7 @@ class WTinyLFUPolicy(ReplacementPolicy):
 
     def remove(self, block: Block) -> None:
         self._require_resident(block)
-        slot = self._slots[block]
-        self._lists[self._region[slot]].remove(slot)
-        self._release(slot)
+        del self._lists[self._region.pop(block)][block]
 
     def victim(self) -> Optional[Block]:
         """Approximate peek (ARC precedent): the block the admission
@@ -280,69 +252,49 @@ class WTinyLFUPolicy(ReplacementPolicy):
         sketch without recording."""
         if not self.full:
             return None
-        candidate_slot = self._window.tail
-        if candidate_slot is None:
-            slot = self._main_victim_slot()
-            return self._block_at[slot] if slot is not None else None
-        if self._probation.size + self._protected.size < self.main_target:
+        if not self._window:
+            return self._main_victim()
+        if len(self._probation) + len(self._protected) < self.main_target:
             # The window tail would slide into main without an eviction;
             # fall back to the main region's own victim. Unreachable
             # when full (main is at target then), but kept for safety.
-            slot = self._main_victim_slot()  # pragma: no cover
-            return (  # pragma: no cover
-                self._block_at[slot] if slot is not None else None
-            )
-        victim_slot = self._main_victim_slot()
-        if victim_slot is None:
-            return self._block_at[candidate_slot]
-        candidate = self._block_at[candidate_slot]
-        victim_block = self._block_at[victim_slot]
-        if self._sketch.estimate(candidate) > self._sketch.estimate(
-            victim_block
+            return self._main_victim()  # pragma: no cover
+        candidate = next(iter(self._window))
+        victim = self._main_victim()
+        sketch = self._sketch
+        if victim is not None and (
+            sketch.estimate(candidate) > sketch.estimate(victim)
         ):
-            return victim_block
+            return victim
         return candidate
 
     def resident(self) -> Iterator[Block]:
         """Iterate window, then probation, then protected (MRU first)."""
-        block_at = self._block_at
-        for lst in (self._window, self._probation, self._protected):
-            for slot in lst:
-                block = block_at[slot]
-                if block is not None:
-                    yield block
+        yield from reversed(self._window)
+        yield from reversed(self._probation)
+        yield from reversed(self._protected)
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        for lst in self._lists.values():
-            lst.check_invariants()
-        total = sum(lst.size for lst in self._lists.values())
-        if total != len(self._slots):
+        total = sum(len(lst) for lst in self._lists.values())
+        if total != len(self._region):
             raise ProtocolError(
-                f"wtinylfu: lists hold {total} slots, index tracks "
-                f"{len(self._slots)}"
+                f"wtinylfu: lists hold {total} blocks, index tracks "
+                f"{len(self._region)}"
             )
-        if self._window.size > self.window_target:
+        if len(self._window) > self.window_target:
             raise ProtocolError(
-                f"wtinylfu: window holds {self._window.size} blocks, "
+                f"wtinylfu: window holds {len(self._window)} blocks, "
                 f"target {self.window_target}"
             )
-        if self._probation.size + self._protected.size > self.main_target:
+        if len(self._probation) + len(self._protected) > self.main_target:
             raise ProtocolError(
                 f"wtinylfu: main region holds "
-                f"{self._probation.size + self._protected.size} blocks, "
+                f"{len(self._probation) + len(self._protected)} blocks, "
                 f"target {self.main_target}"
             )
-        for block, slot in self._slots.items():
-            if self._block_at[slot] != block:
-                raise ProtocolError(
-                    f"wtinylfu: slot {slot} holds "
-                    f"{self._block_at[slot]!r}, index says {block!r}"
-                )
-            region = self._region[slot]
-            if region not in self._lists or not self._lists[region].linked(
-                slot
-            ):
+        for block, region in self._region.items():
+            if region not in self._lists or block not in self._lists[region]:
                 raise ProtocolError(
                     f"wtinylfu: block {block!r} not linked in its region "
                     f"{region!r}"

@@ -14,9 +14,9 @@ later evictions reveal.
 Windows run to 200 references, mostly over a hot set no larger than
 the cache, so the probes consume runs far beyond the 32-reference
 scalar probe of the vectorised kernels. That pins LRU's scatter dedupe
-and the ``_touch_segment`` of MRU, FIFO, CLOCK, SIEVE and S3-FIFO
-against the exact loop, and every other policy's inherited
-``hit_run`` against the single-step path it wraps.
+and the ``_touch_segment`` of MRU, FIFO, CLOCK and SIEVE against the
+exact loop, and every other policy's inherited ``hit_run`` against the
+single-step path it wraps.
 """
 
 from __future__ import annotations
