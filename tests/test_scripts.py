@@ -1,5 +1,5 @@
-"""Tests of the scripts: scripts/run_paper_scale.py (run at tiny scale)
-and scripts/bench_pairs.py."""
+"""Tests of the scripts: scripts/run_paper_scale.py (run at tiny scale),
+scripts/bench_pairs.py and scripts/policy_pairs.py."""
 
 from __future__ import annotations
 
@@ -152,6 +152,34 @@ def test_bench_pairs_smoke_head_against_head():
     assert "pair 1 (base first)" in result.stdout
     for name in ("op_s", "fast_op_s", "setup_s", "peak_rss_mib"):
         assert f"  {name} (" in result.stdout
+    assert "change wins" in result.stdout
+
+
+def test_policy_pairs_smoke_head_against_head():
+    """One pair of HEAD against the working tree on a tiny trace."""
+    if subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=REPO, capture_output=True
+    ).returncode:
+        pytest.skip("not a git checkout")
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(REPO / "scripts" / "policy_pairs.py"),
+            "--base", "HEAD",
+            "--policies", "lru", "mq",
+            "--pairs", "2",
+            "--capacity", "16",
+            "--refs", "500",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
+    assert "pair 1 (base first)" in result.stdout
+    assert "pair 2 (change first)" in result.stdout
+    for name in ("lru", "mq"):
+        assert f"  {name}: base " in result.stdout
     assert "change wins" in result.stdout
 
 
