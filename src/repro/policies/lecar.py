@@ -27,6 +27,7 @@ peek of the eviction that would happen.
 from __future__ import annotations
 
 import math
+import sys
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -37,6 +38,11 @@ from repro.util.validation import check_finite, check_positive
 
 _LRU = 0
 _LFU = 1
+#: Floor of a penalised weight. A large learning rate can underflow a
+#: penalty to 0.0; without the floor two such penalties zero both
+#: weights and the normalisation divides by zero. With it both weights
+#: stay positive, and two experts penalised that hard end up tied.
+_MIN_WEIGHT = sys.float_info.min
 
 
 class LeCaRPolicy(ReplacementPolicy):
@@ -155,10 +161,11 @@ class LeCaRPolicy(ReplacementPolicy):
             penalty = math.exp(
                 -self.learning_rate * self.discount ** age
             )
-            self._weights[expert] *= penalty
-            total = self._weights[_LRU] + self._weights[_LFU]
-            self._weights[_LRU] /= total
-            self._weights[_LFU] /= total
+            weights = self._weights
+            weights[expert] = max(weights[expert] * penalty, _MIN_WEIGHT)
+            total = weights[_LRU] + weights[_LFU]
+            weights[_LRU] /= total
+            weights[_LFU] /= total
         return remembered
 
     def _evict_one(self) -> Block:
@@ -222,8 +229,8 @@ class LeCaRPolicy(ReplacementPolicy):
             raise ProtocolError(
                 f"lecar: expert weights sum to {weight_sum}, expected 1"
             )
-        if min(self._weights) < 0:
-            raise ProtocolError(f"lecar: negative weight {self._weights}")
+        if not min(self._weights) > 0:
+            raise ProtocolError(f"lecar: non-positive weight {self._weights}")
         for expert in (_LRU, _LFU):
             history = self._history[expert]
             if len(history) > self.history_capacity:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -89,6 +92,26 @@ class TestMQParameters:
         for _ in range(40):
             policy.access("hot")
         assert policy.queue_of("hot") == 1  # clamped to m-1
+
+
+class TestLeCaRParameters:
+    @pytest.mark.parametrize(
+        "capacity, learning_rate", [(4, 1e4), (8, 1e4), (2, 1e6)]
+    )
+    def test_huge_learning_rate_keeps_weights_finite(
+        self, capacity, learning_rate
+    ):
+        """A finite learning rate whose penalties underflow to 0.0 once
+        zeroed both expert weights and divided by zero (at the 27th,
+        54th and 9th reference here)."""
+        policy = LeCaRPolicy(capacity, learning_rate=learning_rate)
+        rng = random.Random(0)
+        for _ in range(500):
+            policy.access(rng.randrange(12))
+            policy.check_invariants()
+        weights = policy.weights
+        assert all(math.isfinite(weight) and weight > 0 for weight in weights)
+        assert math.isclose(sum(weights), 1.0)
 
 
 class TestTwoQParameters:
