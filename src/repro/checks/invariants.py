@@ -11,7 +11,7 @@ On top it validates, every ``every`` references:
   client, level fields in range, demotions crossing adjacent boundaries),
 - the scheme's structural invariants via :meth:`MultiLevelScheme
   .check_invariants` — per-level occupancy <= capacity, ULC L1/L2
-  exclusivity per client, uniLRU stack consistency (see the per-scheme
+  exclusivity per client, uniLRU stratification (see the per-scheme
   implementations in :mod:`repro.hierarchy`).
 
 :func:`validate_structure` extends the same idea to the support

@@ -32,7 +32,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.core.events import AccessEvent, Demotion
 from repro.core.stack import UniLRUStack
-from repro.errors import ConfigurationError, ProtocolError
+from repro.errors import ProtocolError
 from repro.policies.base import Block
 from repro.util.validation import check_int, check_non_negative
 
@@ -239,17 +239,12 @@ class ULCClient:
     def check_invariants(self) -> None:
         """Validate the stack and tempLRU invariants (tests).
 
-        Besides the stack's own invariants: no level is over capacity,
-        the tempLRU holds at most ``templru_capacity`` blocks, and no
-        level-1 block is in it (the first branch of :meth:`access`
-        rests on that).
+        Besides the stack's own invariants (no level over capacity among
+        them): the tempLRU holds at most ``templru_capacity`` blocks,
+        and no level-1 block is in it (the first branch of
+        :meth:`access` rests on that).
         """
         self.stack.check_invariants()
-        for level in range(1, self.num_levels + 1):
-            if self.stack.level_size(level) > self.capacities[level - 1]:
-                raise ConfigurationError(
-                    f"level {level} over capacity after access"
-                )
         check_templru(self.stack, self._temp, self.templru_capacity)
 
 

@@ -12,9 +12,14 @@ hierarchy's hit rate equals a single LRU of the aggregate size (the
 scheme's strength), but the demotion traffic is enormous (its weakness —
 up to a 100% first-boundary demotion rate on looping workloads, Figure 6).
 
-Implemented as chained per-level LRU lists: an access pops the block out
-of its level, pushes it at level 1, and overflow ripples down the chain;
-every ripple is reported as a demotion.
+uniLRU and ULC differ only in where a referenced block goes, so uniLRU
+runs on ULC's own uniLRUstack: :class:`UnifiedLRUClient` is a
+:class:`~repro.core.protocol.ULCClient` whose ``access`` places the
+block at level 1 and demotes each over-full level's yardstick one level
+down. The levels stay stratified — every level-``i`` block is more
+recent than every level-``i+1`` block — so each demotion's
+DemotionSearching walk takes one step, and ULC's scheme adapter, span
+kernel and checks serve uniLRU unchanged.
 
 Multi-client structure (the DEMOTE scheme)
 ------------------------------------------
@@ -33,17 +38,76 @@ as the paper did).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import AccessEvent, Demotion
+from repro.core.protocol import ULCClient
 from repro.errors import ConfigurationError, ProtocolError
 from repro.hierarchy.base import MultiLevelScheme
+from repro.hierarchy.ulc import ULCScheme
 from repro.policies.base import Block
 from repro.policies.lru import LRUPolicy
 from repro.util.validation import check_in
 
 
-class UnifiedLRUScheme(MultiLevelScheme):
+class UnifiedLRUClient(ULCClient):
+    """ULC's engine with uniLRU's placement rule; built with
+    ``templru_capacity=0``, since every referenced block is cached."""
+
+    def access(self, block: Block, client: int = 0) -> AccessEvent:  # repro: hot
+        """Place ``block`` at level 1 and ripple the overflow down.
+
+        Each ripple above the last level is a :class:`Demotion`; the
+        last level's overflow leaves the hierarchy and is reported in
+        ``evicted`` only. The ripple stops at the level the block
+        vacated, or runs to the bottom on a miss.
+        """
+        stack = self.stack
+        node = stack.lookup(block)
+        hit_level: Optional[int] = None
+        if node is None:
+            stack.insert_new(block, 1)
+        else:
+            hit_level = node.level
+            stack.touch(node, 1)
+        demotions: List[Demotion] = []
+        evicted: Tuple[Block, ...] = ()
+        capacities = self.capacities
+        last = self.num_levels
+        level = 1
+        while stack.level_size(level) > capacities[level - 1]:
+            victim = stack.demote_tail(level).block
+            if level == last:
+                evicted = (victim,)
+                break
+            demotions.append(Demotion(victim, level, level + 1))
+            level += 1
+        return AccessEvent(
+            block, client, hit_level, False, 1, tuple(demotions), evicted
+        )
+
+    def check_invariants(self) -> None:
+        """ULC's checks plus stratification: the stack holds no
+        ``L_out`` entry, and every cached block's recency region equals
+        its level (ULC only needs ``<=``). The one-step
+        DemotionSearching walk rests on both."""
+        super().check_invariants()
+        stack = self.stack
+        for block in stack.stack_blocks():
+            node = stack.lookup(block)
+            if node is None or node.level == stack.out_level:
+                raise ProtocolError(
+                    f"uniLRU stack holds the L_out entry {block!r}"
+                )
+            region = stack.recency_region(node)
+            if region != node.level:
+                raise ProtocolError(
+                    f"uniLRU block {block!r} at level L_{node.level} has "
+                    f"recency region R_{region}"
+                )
+
+
+class UnifiedLRUScheme(ULCScheme):
     """Single-client unified LRU over an n-level hierarchy."""
 
     name = "uniLRU"
@@ -53,86 +117,13 @@ class UnifiedLRUScheme(MultiLevelScheme):
             raise ConfigurationError(
                 "UnifiedLRUScheme is single-client; use UnifiedLRUMultiScheme"
             )
-        super().__init__(capacities, num_clients)
-        self._levels = [LRUPolicy(capacity) for capacity in self.capacities]
-
-    def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
-        """Fast-forward through a run of level-1 hits.
-
-        A level-1 hit in :meth:`access` is ``remove`` + ``insert`` on
-        the level-1 LRU with no ripple (the removal frees the slot the
-        insert refills), which is state-identical to a ``touch`` thanks
-        to the slab's LIFO slot recycling — so the whole run delegates
-        to the level-1 policy's vectorised :meth:`~LRUPolicy.hit_run`.
-        """
-        self._check_client(client)
-        return self._levels[0].hit_run(blocks)
-
-    def _find_level(self, block: Block) -> Optional[int]:
-        for level, cache in enumerate(self._levels, start=1):
-            if block in cache:
-                return level
-        return None
-
-    def access(self, client: int, block: Block) -> AccessEvent:
-        self._check_client(client)
-        hit_level = self._find_level(block)
-        demotions: List[Demotion] = []
-        evicted: List[Block] = []
-
-        if hit_level is not None:
-            self._levels[hit_level - 1].remove(block)
-        # The block becomes the global MRU: insert at level 1 and ripple
-        # the overflow down the chain. Each ripple crosses one boundary —
-        # one demotion. The ripple stops at the level the block vacated
-        # (or the bottom, on a miss).
-        carry: Optional[Block] = block
-        for level in range(1, self.num_levels + 1):
-            if carry is None:
-                break
-            overflow = self._levels[level - 1].insert(carry)
-            carry = overflow[0] if overflow else None
-            if carry is not None:
-                if level < self.num_levels:
-                    demotions.append(Demotion(carry, level, level + 1))
-                else:
-                    evicted.append(carry)
-        return AccessEvent(
-            block=block,
-            client=client,
-            hit_level=hit_level,
-            placed_level=1,
-            demotions=tuple(demotions),
-            evicted=tuple(evicted),
-        )
+        # ULCScheme's constructor would build a ULC engine.
+        MultiLevelScheme.__init__(self, capacities, num_clients)
+        self.engine = UnifiedLRUClient(capacities, templru_capacity=0)
 
     def global_order(self) -> List[Block]:
-        """The conceptual aggregate LRU stack, MRU first (tests)."""
-        order: List[Block] = []
-        for cache in self._levels:
-            order.extend(cache.recency_order())
-        return order
-
-    def check_invariants(self) -> None:
-        """Per-level occupancy and aggregate-stack consistency.
-
-        The conceptual aggregate stack requires each block to live at
-        exactly one level and each level list to respect its capacity.
-        """
-        seen: Dict[Block, int] = {}
-        for level, cache in enumerate(self._levels, start=1):
-            if len(cache) > cache.capacity:
-                raise ProtocolError(
-                    f"uniLRU level {level} holds {len(cache)} blocks, "
-                    f"capacity {cache.capacity}"
-                )
-            for resident in cache.recency_order():
-                if resident in seen:
-                    raise ProtocolError(
-                        f"block {resident!r} at levels {seen[resident]} "
-                        f"and {level} breaks the aggregate-stack model"
-                    )
-                seen[resident] = level
+        """The aggregate LRU stack, MRU first (tests)."""
+        return self.engine.stack.stack_blocks()
 
 
 INSERT_MRU = "mru"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, UnknownPolicyError
+from repro.core import ULCClient
+from repro.errors import ConfigurationError, ProtocolError, UnknownPolicyError
 from repro.hierarchy import (
     AggregateLRUOracle,
     AggregateOPTOracle,
@@ -135,6 +136,41 @@ class TestUnifiedLRUSingle:
     def test_multi_client_rejected(self):
         with pytest.raises(ConfigurationError):
             UnifiedLRUScheme([1, 1], num_clients=2)
+
+
+def _relocate(block, level):
+    return lambda stack: stack.relocate(stack.lookup(block), level)
+
+
+def _evict(block):
+    return lambda stack: stack.evict(stack.lookup(block))
+
+
+@pytest.mark.parametrize("make_scheme, plant, match, ulc_accepts", [
+    # Blocks 1..4 fill ULC's levels in turn: 2 1 | 4 3.
+    (lambda: ULCScheme([2, 2]), _relocate(2, 2),
+     "level 2 exceeds its capacity", False),
+    # uniLRU ripples them down one stack: 4 3 | 2 1.
+    (lambda: UnifiedLRUScheme([2, 2]), _relocate(3, 2),
+     "level 2 exceeds its capacity", False),
+    (lambda: UnifiedLRUScheme([2, 2]), _evict(3), "L_out entry 3", True),
+    # Level 2 has room; block 4 moves there above level 1's block 3.
+    (lambda: UnifiedLRUScheme([2, 3]), _relocate(4, 2),
+     "recency region R_1", True),
+], ids=["ulc-overfilled", "unilru-overfilled", "unilru-l-out",
+        "unilru-region-above-level"])
+def test_planted_violation_raises(make_scheme, plant, match, ulc_accepts):
+    """An over-filled level fails both engines' checks with
+    ProtocolError; a stack that is not stratified fails uniLRU's,
+    though ULC's own checks accept it."""
+    scheme = make_scheme()
+    run(scheme, [1, 2, 3, 4])
+    scheme.check_invariants()
+    plant(scheme.engine.stack)
+    if ulc_accepts:
+        ULCClient.check_invariants(scheme.engine)
+    with pytest.raises(ProtocolError, match=match):
+        scheme.check_invariants()
 
 
 class TestUnifiedLRUMulti:

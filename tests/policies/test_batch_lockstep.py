@@ -3,13 +3,12 @@
 The batched drive reaches a policy through one pair of calls: a
 ``hit_run`` probe over a window of references, then the exact
 ``access`` on the reference that stopped the run. That is what
-``Engine``'s batched span does through indLRU's client caches and
-uniLRU's first level. The contract is that the per-reference loop *is*
-the specification: for every registered policy, driving one instance
-through that pair and a twin through repeated ``access`` must produce
-the same hits, the same eviction stream (order included) and the same
-final structures after every window, down to the hit state that only
-later evictions reveal.
+``Engine``'s batched span does through indLRU's client caches. The
+contract is that the per-reference loop *is* the specification: for
+every registered policy, driving one instance through that pair and a
+twin through repeated ``access`` must produce the same hits, the same
+eviction stream (order included) and the same final structures after
+every window, down to the hit state that only later evictions reveal.
 
 Windows run to 200 references, mostly over a hot set no larger than
 the cache, so the probes consume runs far beyond the 32-reference

@@ -3,10 +3,11 @@
 ``ULCScheme`` and ``ULCMultiScheme`` override
 :meth:`MultiLevelScheme.access_span` with their engines' hit-run loops,
 which serve pure level-1 hits with one ``touch`` and fold them into the
-collector in bulk. The promise is that a drive through them leaves
-every collector counter (per-client lists included) and every piece of
-protocol state exactly where a replay of ``scheme.access`` plus
-``collector.record``, one reference at a time, leaves them.
+collector in bulk; ``UnifiedLRUScheme`` inherits ``ULCScheme``'s. The
+promise is that a drive through them leaves every collector counter
+(per-client lists included) and every piece of protocol state exactly
+where a replay of ``scheme.access`` plus ``collector.record``, one
+reference at a time, leaves them.
 
 The traces are built to break that: hot sets no larger than level 1
 (long hit runs) mixed with scans, warm-up fractions and chunk sizes
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.multi import NOTIFY_IMMEDIATE, NOTIFY_PIGGYBACK
 from repro.errors import ConfigurationError
-from repro.hierarchy import ULCMultiScheme, ULCScheme
+from repro.hierarchy import ULCMultiScheme, ULCScheme, UnifiedLRUScheme
 from repro.sim import Engine, MetricsCollector
 from repro.workloads import Trace
 
@@ -160,6 +161,20 @@ def test_ulc_span_kernel_matches_per_reference_loop(
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
+    capacities=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    **drive_options,
+)
+def test_unilru_span_kernel_matches_per_reference_loop(
+    data, capacities, warmup_fraction, chunk_size, batch_size,
+):
+    blocks, _ = data.draw(traces(1, capacities[0]))
+    compare(lambda: UnifiedLRUScheme(capacities), blocks,
+            [0] * len(blocks), warmup_fraction, chunk_size, batch_size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
     num_clients=st.integers(1, 3),
     client_capacity=st.integers(1, 3),
     tiers=st.lists(st.integers(1, 4), min_size=1, max_size=2),
@@ -191,8 +206,9 @@ def test_ulc_multi_span_kernel_matches_per_reference_loop(
 
 @pytest.mark.parametrize("make_scheme", [
     lambda: ULCScheme([2, 4]),
+    lambda: UnifiedLRUScheme([2, 4]),
     lambda: ULCMultiScheme([2, 4], 2),
-], ids=["ulc", "ulc-multi"])
+], ids=["ulc", "unilru", "ulc-multi"])
 @pytest.mark.parametrize("batch_size", [None, 4])
 @pytest.mark.parametrize("bad_client", [5, -1])
 def test_out_of_range_client_mid_span(make_scheme, batch_size, bad_client):
