@@ -1,8 +1,8 @@
-"""Event-stream fixture for the dict-based replacement policies.
+"""Event-stream fixture for the single-level replacement policies.
 
-``tests/data/golden_policy_streams.json`` holds, for ARC, 2Q, LFU,
-LIRS, S3-FIFO, W-TinyLFU, LeCaR and MQ at capacities 1, 2, 3, 8 and 128
-on every trace below, the
+``tests/data/golden_policy_streams.json`` holds, for LRU, MRU, FIFO,
+CLOCK, SIEVE, ARC, 2Q, LFU, LIRS, S3-FIFO, W-TinyLFU, LeCaR and MQ at
+capacities 1, 2, 3, 8 and 128 on every trace below, the
 :func:`tests.core.golden_core.stream_digest` of the
 ``(AccessResult, victim())`` stream and a digest of the final
 ``list(resident())``. The last four also run with one non-default
@@ -30,7 +30,10 @@ from typing import Dict, List, Tuple
 
 from tests.core.golden_core import TRACES, stream_digest
 
-POLICIES = ("arc", "2q", "lfu", "lirs", "s3fifo", "wtinylfu", "lecar", "mq")
+POLICIES = (
+    "lru", "mru", "fifo", "clock", "sieve",
+    "arc", "2q", "lfu", "lirs", "s3fifo", "wtinylfu", "lecar", "mq",
+)
 
 #: One non-default parameter set per policy: MQ without a ghost queue
 #: and with frequent ``Adjust`` demotions, a large S3-FIFO small queue

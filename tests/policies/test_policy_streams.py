@@ -1,5 +1,5 @@
-"""ARC, 2Q, LFU, LIRS, S3-FIFO, W-TinyLFU, LeCaR and MQ reproduce
-their pinned event streams.
+"""LRU, MRU, FIFO, CLOCK, SIEVE, ARC, 2Q, LFU, LIRS, S3-FIFO, W-TinyLFU,
+LeCaR and MQ reproduce their pinned event streams.
 
 ``tests/data/golden_policy_streams.json`` (see
 :mod:`tests.policies.golden_policies`) holds the digest of every
