@@ -23,10 +23,16 @@ Each queue is an ``OrderedDict`` from block to its ``expire_time``, whose
 first key is the LRU end; two dicts hold each resident block's reference
 count and queue index, and Qout is an ``OrderedDict`` from block to its
 reference count at eviction.
+
+Every enqueue stamps ``current_time + life_time`` and time never runs
+backwards, so expiry times never fall along a queue. A lower bound on
+the expiry of every block in queues 1..m-1 therefore lets ``Adjust()``
+return at once on the references where nothing can have expired.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional
 
@@ -77,6 +83,8 @@ class MQPolicy(ReplacementPolicy):
         # Qout: block -> frequency at eviction, FIFO order preserved.
         self._ghost: "OrderedDict[Block, int]" = OrderedDict()
         self._time = 0
+        # No block of queues 1..m-1 expires before this time.
+        self._expiry_bound: float = math.inf
 
     # -- plumbing -----------------------------------------------------------
 
@@ -85,9 +93,12 @@ class MQPolicy(ReplacementPolicy):
         with a fresh expiry time."""
         # floor(log2(f)), clamped to the top queue
         index = min(max(0, frequency.bit_length() - 1), self.num_queues - 1)
+        expiry = self._time + self.life_time
         self._frequency[block] = frequency
         self._queue_index[block] = index
-        self._queues[index][block] = self._time + self.life_time
+        self._queues[index][block] = expiry
+        if index and expiry < self._expiry_bound:
+            self._expiry_bound = expiry
 
     def _dequeue(self, block: Block) -> int:
         """Drop ``block`` from its queue; returns its reference count."""
@@ -98,18 +109,33 @@ class MQPolicy(ReplacementPolicy):
     # moves a block one queue down, prepaid by the promotion that
     # raised it
     def _adjust(self) -> None:
-        """Demote expired LRU blocks one queue down (Zhou's Adjust())."""
+        """Demote expired LRU blocks one queue down (Zhou's Adjust()).
+
+        Returns at once while no block can have expired; a scan
+        recomputes the bound from the queue heads it stops at and from
+        the blocks it demotes into queues it has already passed.
+        """
         time = self._time
+        if time <= self._expiry_bound:
+            return
         queues = self._queues
+        bound = math.inf
         for index in range(1, self.num_queues):
             queue = queues[index]
             while queue:
                 block = next(iter(queue))
-                if queue[block] >= time:
+                expiry = queue[block]
+                if expiry >= time:
+                    if expiry < bound:
+                        bound = expiry
                     break
                 del queue[block]
                 self._queue_index[block] = index - 1
-                queues[index - 1][block] = time + self.life_time
+                expiry = time + self.life_time
+                queues[index - 1][block] = expiry
+                if index > 1 and expiry < bound:
+                    bound = expiry
+        self._expiry_bound = bound
 
     # repro: bound O(1) amortized -- the ghost trim pops at most the
     # entries earlier calls pushed
@@ -191,6 +217,15 @@ class MQPolicy(ReplacementPolicy):
                         f"mq: block {block!r} has reference count "
                         f"{self._frequency.get(block)}"
                     )
+        earliest = min(
+            (min(queue.values()) for queue in self._queues[1:] if queue),
+            default=math.inf,
+        )
+        if earliest < self._expiry_bound:
+            raise ProtocolError(
+                f"mq: a block expires at {earliest}, before the expiry "
+                f"bound {self._expiry_bound}"
+            )
         if len(self._ghost) > self.ghost_capacity:
             raise ProtocolError(
                 f"mq: {len(self._ghost)} ghosts exceed {self.ghost_capacity}"

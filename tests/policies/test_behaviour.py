@@ -288,6 +288,86 @@ class TestMQ:
         assert mq > lru
 
 
+class ScanningMQ(MQPolicy):
+    """MQ whose Adjust() scans every queue head on every reference."""
+
+    def _adjust(self):
+        time = self._time
+        queues = self._queues
+        for index in range(1, self.num_queues):
+            queue = queues[index]
+            while queue:
+                block = next(iter(queue))
+                if queue[block] >= time:
+                    break
+                del queue[block]
+                self._queue_index[block] = index - 1
+                queues[index - 1][block] = time + self.life_time
+
+
+def drive_mq_lockstep(capacity, num_queues, life_time, ops):
+    """Drive MQ and :class:`ScanningMQ` through ``(op, block)`` pairs
+    (op 0 removes a resident block picked by the block id, any other op
+    accesses the block) and compare them after every step."""
+    kwargs = dict(num_queues=num_queues, life_time=life_time)
+    policy = MQPolicy(capacity, **kwargs)
+    reference = ScanningMQ(capacity, **kwargs)
+    for op, block in ops:
+        if op == 0:
+            resident = sorted(reference.resident())
+            if resident:
+                victim = resident[block % len(resident)]
+                policy.remove(victim)
+                reference.remove(victim)
+        else:
+            assert policy.access(block) == reference.access(block)
+        assert policy.victim() == reference.victim()
+        assert list(policy.resident()) == list(reference.resident())
+        for resident in reference.resident():
+            assert policy.queue_of(resident) == reference.queue_of(resident)
+        policy.check_invariants()
+
+
+class TestMQExpiryBound:
+    """Adjust() skips its scan while no block can have expired; the
+    skip must never change what MQ does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        capacity=st.integers(1, 12),
+        num_queues=st.integers(1, 8),
+        life_time=st.integers(1, 6),
+        ops=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 20)), max_size=300
+        ),
+    )
+    def test_matches_a_scan_on_every_reference(
+        self, capacity, num_queues, life_time, ops
+    ):
+        drive_mq_lockstep(capacity, num_queues, life_time, ops)
+
+    @pytest.mark.parametrize("num_queues", range(1, 9))
+    def test_matches_a_scan_through_hot_bursts_and_scans(self, num_queues):
+        """Bursts on a few blocks push them into the high queues; the
+        scans of one-shot blocks that follow enqueue nothing above
+        queue 0, so the hot blocks expire and cascade down through
+        queues that have drained."""
+        import random as pyrandom
+
+        rng = pyrandom.Random(num_queues)
+        fresh = 100
+        for life_time in (1, 2, 3, 5, 8):
+            ops = []
+            for _ in range(20):
+                hot = rng.sample(range(10), 3)
+                ops.extend((1, rng.choice(hot)) for _ in range(24))
+                scan = rng.randrange(4 * life_time + 8)
+                ops.extend((1, block) for block in range(fresh, fresh + scan))
+                fresh += scan
+                ops.append((0, rng.randrange(10)))
+            drive_mq_lockstep(8, num_queues, life_time, ops)
+
+
 class TestLIRS:
     def test_states_and_promotion(self):
         policy = LIRSPolicy(4, hir_fraction=0.25)
