@@ -193,18 +193,9 @@ class CooperativeScheme(MultiLevelScheme):
         return set(self._holders.get(block, set()))
 
     def check_invariants(self) -> None:
-        """Occupancy bounds plus directory/cache agreement."""
-        for client, cache in enumerate(self._clients):
-            if len(cache) > cache.capacity:
-                raise ProtocolError(
-                    f"client {client} cache holds {len(cache)} blocks, "
-                    f"capacity {cache.capacity}"
-                )
-        if len(self._server) > self._server.capacity:
-            raise ProtocolError(
-                f"server holds {len(self._server)} blocks, capacity "
-                f"{self._server.capacity}"
-            )
+        """Every cache's own checks plus directory/cache agreement."""
+        for cache in self._clients + [self._server]:
+            cache.check_invariants()
         for block, holders in self._holders.items():
             if not holders:
                 raise ProtocolError(

@@ -129,18 +129,9 @@ class EvictionBasedScheme(MultiLevelScheme):
         return len(self._pending)
 
     def check_invariants(self) -> None:
-        """Occupancy bounds plus reload-queue time ordering."""
-        for client, cache in enumerate(self._clients):
-            if len(cache) > self.capacities[0]:
-                raise ProtocolError(
-                    f"client {client} cache holds {len(cache)} blocks, "
-                    f"capacity {self.capacities[0]}"
-                )
-        if len(self._server) > self.capacities[1]:
-            raise ProtocolError(
-                f"server holds {len(self._server)} blocks, capacity "
-                f"{self.capacities[1]}"
-            )
+        """Every cache's own checks plus reload-queue time ordering."""
+        for cache in self._clients + [self._server]:
+            cache.check_invariants()
         previous_ready = None
         for ready, _ in self._pending_queue:
             if previous_ready is not None and ready < previous_ready:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.events import AccessEvent
-from repro.errors import ProtocolError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.policies.base import Block
 from repro.policies.lru import LRUPolicy
@@ -42,12 +41,9 @@ class AggregateLRUOracle(MultiLevelScheme):
         )
 
     def check_invariants(self) -> None:
-        """The aggregate cache never exceeds the summed capacity."""
-        if len(self._cache) > sum(self.capacities):
-            raise ProtocolError(
-                f"aggregate LRU holds {len(self._cache)} blocks, "
-                f"capacity {sum(self.capacities)}"
-            )
+        """The aggregate cache passes its policy's own checks; its
+        capacity is the summed hierarchy size."""
+        self._cache.check_invariants()
 
 
 class AggregateOPTOracle(MultiLevelScheme):
@@ -80,9 +76,6 @@ class AggregateOPTOracle(MultiLevelScheme):
         )
 
     def check_invariants(self) -> None:
-        """The aggregate cache never exceeds the summed capacity."""
-        if len(self._cache) > sum(self.capacities):
-            raise ProtocolError(
-                f"aggregate OPT holds {len(self._cache)} blocks, "
-                f"capacity {sum(self.capacities)}"
-            )
+        """The aggregate cache passes its policy's own checks; its
+        capacity is the summed hierarchy size."""
+        self._cache.check_invariants()

@@ -248,18 +248,9 @@ class UnifiedLRUMultiScheme(MultiLevelScheme):
         )
 
     def check_invariants(self) -> None:
-        """Occupancy bounds plus demote-ownership bookkeeping."""
-        for client, cache in enumerate(self._clients):
-            if len(cache) > self.capacities[0]:
-                raise ProtocolError(
-                    f"client {client} cache holds {len(cache)} blocks, "
-                    f"capacity {self.capacities[0]}"
-                )
-        if len(self._server) > self.capacities[1]:
-            raise ProtocolError(
-                f"server holds {len(self._server)} blocks, capacity "
-                f"{self.capacities[1]}"
-            )
+        """Every cache's own checks plus demote-ownership bookkeeping."""
+        for cache in self._clients + [self._server]:
+            cache.check_invariants()
         for block in self._demoted_by:
             if block not in self._server:
                 raise ProtocolError(

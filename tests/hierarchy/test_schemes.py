@@ -12,6 +12,8 @@ from repro.hierarchy import (
     AggregateLRUOracle,
     AggregateOPTOracle,
     ClientLRUServerMQ,
+    CooperativeScheme,
+    EvictionBasedScheme,
     IndependentScheme,
     ULCMultiScheme,
     ULCScheme,
@@ -170,6 +172,62 @@ def test_planted_violation_raises(make_scheme, plant, match, ulc_accepts):
     if ulc_accepts:
         ULCClient.check_invariants(scheme.engine)
     with pytest.raises(ProtocolError, match=match):
+        scheme.check_invariants()
+
+
+def _policy_caches(scheme):
+    """The single-level policies a policy-composed scheme holds."""
+    if isinstance(scheme, IndependentScheme):
+        return scheme._client_caches + scheme._shared
+    if isinstance(scheme, (AggregateLRUOracle, AggregateOPTOracle)):
+        return [scheme._cache]
+    return scheme._clients + [scheme._server]
+
+
+POLICY_SCHEMES = {
+    "indlru": lambda: IndependentScheme([2, 3, 4], 2),
+    "indlru-sieve": lambda: IndependentScheme(
+        [2, 4], 2, policies=["sieve", "lecar"]
+    ),
+    "mq": lambda: make_scheme("mq", [4, 8], 2),
+    "unilru-multi": lambda: UnifiedLRUMultiScheme([2, 4], 2),
+    "eviction-based": lambda: EvictionBasedScheme([2, 4], 2),
+    "agglru": lambda: AggregateLRUOracle([2, 4]),
+    "aggopt": lambda: AggregateOPTOracle([2, 4], list(range(12)) * 2),
+    "cooperative": lambda: CooperativeScheme([2, 4], 2, n_chance=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_SCHEMES))
+def test_scheme_check_runs_every_policy_check(name, monkeypatch):
+    """A checked run validates each cache with its policy's own checks,
+    not only its occupancy."""
+    scheme = POLICY_SCHEMES[name]()
+    for index in range(24):
+        scheme.access(index % scheme.num_clients, index % 12)
+    checked = []
+    for cache in _policy_caches(scheme):
+        monkeypatch.setattr(
+            cache, "check_invariants",
+            lambda cache=cache: checked.append(cache),
+        )
+    scheme.check_invariants()
+    assert [id(c) for c in checked] == [
+        id(c) for c in _policy_caches(scheme)
+    ]
+
+
+def test_corrupt_mq_queue_index_fails_the_scheme_check():
+    """A queue-index entry pointing at the wrong queue passes every
+    occupancy bound but fails MQ's own check, and so the scheme's."""
+    scheme = make_scheme("mq", [4, 8], 2)
+    for index in range(40):
+        scheme.access(index % 2, index % 10)
+    scheme.check_invariants()
+    server = scheme._shared[0]
+    block = next(iter(server.resident()))
+    server._queue_index[block] += 1
+    with pytest.raises(ProtocolError, match="indexed at queue"):
         scheme.check_invariants()
 
 
