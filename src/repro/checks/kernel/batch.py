@@ -22,7 +22,9 @@ from repro.checks.flow.taint import _suppressed
 FAST_PATH_NAMES = {"hit_run", "access_hit_run", "access_hit_run_multi"}
 
 #: Recency-mutating operations a fast path may only run when guarded.
-MUTATOR_NAMES = {"touch", "move_to_front", "_touch_segment", "access"}
+MUTATOR_NAMES = {
+    "touch", "move_to_front", "move_to_end", "_touch_segment", "access",
+}
 
 
 def _contains(node: ast.AST, kinds: tuple) -> bool:
