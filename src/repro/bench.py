@@ -84,7 +84,7 @@ BATCH_SIZE = 1024
 
 #: Working-set sizes of the batched scenarios' zipf traces. The batched
 #: twins measure the *steady-state all-hit fast path* — the case the
-#: hit-run kernels vectorise — so their working sets fit the cache and
+#: hit-run kernels serve — so their working sets fit the cache and
 #: the schemes are warmed outside the timed region (cold fills are
 #: scalar inserts in both drive modes and already measured by the
 #: single-step scenarios).

@@ -4,23 +4,19 @@ CLOCK approximates LRU with a circular scan and per-block reference bits;
 it is what most operating systems actually run, so it serves as a
 realistic stand-in for "the client's kernel page cache" in ablations.
 
-The ring is the same flat-array slab queue as
-:class:`~repro.policies.lru.LRUPolicy` (head = hand position, tail =
-most recent insert) with the reference bits in a parallel array indexed
-by slab slot. A hit only sets a bit — no splice — so batched all-hit
-stretches reduce to setting the distinct blocks' bits, order-free.
+The ring is the same ``OrderedDict`` as
+:class:`~repro.policies.lru.LRUPolicy`, with each block's reference bit
+as its value: the first key is the hand position, the last the most
+recent insert. A hit only sets the bit; the hand gives a second chance
+by clearing it and moving the block to the end.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
-import numpy as np
-
-from repro.errors import ProtocolError
-from repro.policies.base import Block
-from repro.policies.lru import _DEDUPE_THRESHOLD, LRUPolicy
-from repro.util.intlist import SENTINEL
+from repro.policies.base import Block, ReplacementPolicy
+from repro.policies.lru import LRUPolicy
 
 
 class CLOCKPolicy(LRUPolicy):
@@ -33,62 +29,33 @@ class CLOCKPolicy(LRUPolicy):
 
     name = "clock"
 
-    def __init__(self, capacity: int) -> None:
-        super().__init__(capacity)
-        # Reference bit per slab slot (parallel to _block_at).
-        self._refbit: List[bool] = [False]
-
-    def _alloc(self, block: Block) -> int:
-        slot = super()._alloc(block)
-        if slot == len(self._refbit):
-            self._refbit.append(False)
-        else:
-            self._refbit[slot] = False
-        return slot
+    # A hit sets a bit and moves nothing, so the all-hit prefix is the
+    # default touch loop rather than LRU's moving one.
+    hit_run = ReplacementPolicy.hit_run
 
     def touch(self, block: Block) -> None:
-        slot = self._slots.get(block)
-        if slot is None:
+        order = self._order
+        if block not in order:
             self._require_resident(block)
-            return  # pragma: no cover - _require_resident raised
-        self._refbit[slot] = True
-
-    # repro: bound O(n) -- linear in the batch segment; every element
-    # is visited once (order-free reference-bit sets)
-    def _touch_segment(self, seg: np.ndarray) -> None:
-        """Hits only set reference bits — order-free, so no replay."""
-        slots = self._slots
-        refbit = self._refbit
-        if seg.shape[0] <= _DEDUPE_THRESHOLD:
-            blocks = seg.tolist()
-        else:
-            blocks = np.unique(seg).tolist()
-        for block in blocks:
-            refbit[slots[block]] = True
+        order[block] = True
 
     # repro: bound O(1) amortized -- the hand sweep clears reference
     # bits; each cleared bit was set by one earlier hit
     def insert(self, block: Block) -> List[Block]:
-        self._require_absent(block)
+        order = self._order
+        if block in order:
+            self._require_absent(block)
         evicted: List[Block] = []
-        stack = self._stack
-        if len(self._slots) >= self.capacity:
-            # Sweep the hand (ring head), clearing reference bits, to
+        if len(order) >= self.capacity:
+            # Sweep the hand (first key), clearing reference bits, to
             # the first second-chance-exhausted entry.
-            refbit = self._refbit
-            nxt = stack.next
             while True:
-                head = nxt[SENTINEL]
-                if head == SENTINEL:  # pragma: no cover - capacity >= 1
-                    raise ProtocolError("clock sweep on empty ring")
-                if refbit[head]:
-                    refbit[head] = False
-                    stack.move_to_back(head)
-                else:
+                head, referenced = order.popitem(last=False)
+                if not referenced:
                     break
-            stack.remove(head)
-            evicted.append(self._release(head))
-        stack.push_back(self._alloc(block))
+                order[head] = False
+            evicted.append(head)
+        order[block] = False
         return evicted
 
     # repro: bound O(n) -- pure prediction: simulates the sweep over a
@@ -100,11 +67,13 @@ class CLOCKPolicy(LRUPolicy):
         the first entry (in hand order) with a clear reference bit, or the
         current hand position if every bit is set.
         """
-        if not self.full or not self._stack.size:
+        if not self.full:
             return None
-        refbit = self._refbit
-        block_at = self._block_at
-        for slot in self._stack:
-            if not refbit[slot]:
-                return block_at[slot]
-        return block_at[self._stack.next[SENTINEL]]
+        for block, referenced in self._order.items():
+            if not referenced:
+                return block
+        return next(iter(self._order))
+
+    def resident(self) -> Iterator[Block]:
+        """Iterate blocks in hand order, oldest first."""
+        return iter(self._order)

@@ -27,8 +27,9 @@ scheme's ``access_hit_run`` kernel over a window of up to
 hits the kernel consumed into the metrics in bulk, and runs the
 references from the first one that is anything but a trivial hit
 through the span hook. That scalar stretch doubles, up to
-``batch_size``, while probes consume little, so the vectorised kernels
-pay on long all-hit stretches (a warm indLRU client cache) and a trace
+``batch_size``, while probes consume little, so the hit-run kernels
+pay on long all-hit stretches (a warm indLRU client cache, whose LRU
+serves each hit with one ``move_to_end`` and no event) and a trace
 whose level-1 hits come in short runs between misses (the Figure-6/7
 stream traces under ULC) runs at the span hook's speed, as does a
 scheme without a kernel (the inherited ``access_hit_run`` consumes

@@ -1,11 +1,12 @@
 """Slab-allocated intrusive linked lists over flat integer arrays.
 
-This is the array kernel under every LRU-family structure in the
-library (plain LRU, MQ's queues, the uniLRUstack's global and per-level
-lists, the server's gLRU). Instead of one node object per element per
-list, elements are integer *slots* handed out by an :class:`IntSlab`,
-and each :class:`IntLinkedList` stores its links in two plain Python
-lists (``prev`` / ``next``) indexed by slot.
+This is the array kernel under the uniLRUstack's global and per-level
+lists, the multi-client server's gLRU and SIEVE's queue; the
+single-level LRU family and the other policies keep ``OrderedDict`` s.
+Instead of one node object per element per list, elements are integer
+*slots* handed out by an :class:`IntSlab`, and each
+:class:`IntLinkedList` stores its links in two plain Python lists
+(``prev`` / ``next``) indexed by slot.
 
 Why this layout wins (cf. Inoue's multi-step LRU, arXiv:2112.09981):
 

@@ -611,7 +611,7 @@ class TestLiveTree:
         )
         assert any(q.endswith("LIRSPolicy._prune_stack") for q in annotated)
         assert any(q.endswith("IntSlab.alloc") for q in annotated)
-        assert any(q.endswith("LRUPolicy.hit_run") for q in annotated)
+        assert any(q.endswith("CLOCKPolicy.insert") for q in annotated)
 
     def test_live_tree_infers_fenwick_as_logarithmic(self):
         checker = BoundsChecker(Project([SRC_REPRO]))
