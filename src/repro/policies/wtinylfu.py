@@ -37,9 +37,9 @@ _WINDOW = "window"
 _PROBATION = "probation"
 _PROTECTED = "protected"
 
-#: Block ids reach the sketch as Python ints (scalar path) and numpy
-#: scalars (the default ``hit_run`` loop over an array); both must hash
-#: to the same counters.
+#: Block ids reach the sketch as Python ints or as numpy scalars (a
+#: caller iterating an array itself); both must hash to the same
+#: counters.
 _INTEGRAL = (int, np.integer)
 
 
