@@ -49,6 +49,11 @@ class IndependentScheme(MultiLevelScheme):
             )
         if policy_kwargs is None:
             policy_kwargs = [{}] * self.num_levels
+        if len(policy_kwargs) != self.num_levels:
+            raise ConfigurationError(
+                f"{len(policy_kwargs)} policy_kwargs for {self.num_levels} "
+                f"levels"
+            )
         self._policy_names = list(policies)
         # Level 1 is private per client; lower levels are shared.
         self._client_caches: List[ReplacementPolicy] = [

@@ -47,7 +47,7 @@ from repro.hierarchy.base import MultiLevelScheme
 from repro.hierarchy.ulc import ULCScheme
 from repro.policies.base import Block
 from repro.policies.lru import LRUPolicy
-from repro.util.validation import check_in
+from repro.util.validation import check_in, check_int, check_positive
 
 
 class UnifiedLRUClient(ULCClient):
@@ -158,6 +158,8 @@ class UnifiedLRUMultiScheme(MultiLevelScheme):
             )
         super().__init__(capacities, num_clients)
         check_in("insertion", insertion, [INSERT_MRU, INSERT_LRU, INSERT_ADAPTIVE])
+        check_int("adaptive_window", adaptive_window)
+        check_positive("adaptive_window", adaptive_window)
         self.insertion = insertion
         self.adaptive_window = adaptive_window
         self._clients = [LRUPolicy(capacities[0]) for _ in range(num_clients)]

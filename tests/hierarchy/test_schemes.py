@@ -80,6 +80,13 @@ class TestIndependent:
         with pytest.raises(ConfigurationError):
             IndependentScheme([1, 1], policies=["lru"])
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_policy_kwargs_count_mismatch(self, count):
+        with pytest.raises(ConfigurationError, match="policy_kwargs"):
+            IndependentScheme(
+                [4, 8], policies=["lru", "lru"], policy_kwargs=[{}] * count
+            )
+
     def test_client_bounds(self):
         scheme = IndependentScheme([1, 1], num_clients=2)
         with pytest.raises(ConfigurationError):
@@ -274,6 +281,13 @@ class TestUnifiedLRUMulti:
     def test_bad_insertion_rejected(self):
         with pytest.raises(ConfigurationError):
             UnifiedLRUMultiScheme([1, 1], insertion="sideways")
+
+    @pytest.mark.parametrize("window", [0, -1, 1.5, True])
+    def test_bad_adaptive_window_rejected(self, window):
+        with pytest.raises(ConfigurationError, match="adaptive_window"):
+            UnifiedLRUMultiScheme(
+                [4, 8], 2, insertion="adaptive", adaptive_window=window
+            )
 
 
 class TestMQScheme:
