@@ -22,8 +22,9 @@ marks — seed a derived-hot set, and four rules police it:
   dominating loop nest rendered as SARIF ``codeFlows``);
 - **BND002** — an unbounded ``while`` over a linked chain with no
   structural decrease;
-- **BND003** — a per-reference allocation inside an inferred-hot
-  callee, deepening FLOW004 beyond direct ``# repro: hot`` bodies;
+- **BND003** — a per-reference allocation, or an attribute chain
+  re-chased per loop iteration, in a hot function or in anything a
+  ``# repro: hot`` function reaches per reference;
 - **BND004** — a stale, invalid, unjustified or orphaned
   ``# repro: bound`` annotation.
 
@@ -33,26 +34,18 @@ from :mod:`repro.checks.bounds.cost`::
     # repro: bound O(n) -- DemotionSearching walks at most the gap to
     #                      the level successor (paper Section 3.2)
 
-Suppression is the same ``# repro: noqa BND00x`` comment, findings are
-plain :class:`repro.checks.findings.Finding` values, and the baseline
-store is shared with the deep and kernel passes — one
-``--update-baseline``, one file.
+The pass returns its raw findings; ``repro check`` applies ``# repro:
+noqa BND00x`` comments and the baseline every pass shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.checks.bounds.cost import Bound, Cost, combine, parse_bound, scale
-from repro.checks.bounds.infer import BoundsChecker, run_bounds_analysis
+from repro.checks.bounds.infer import BoundsChecker
 from repro.checks.findings import Finding
-from repro.checks.flow.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-)
 from repro.checks.flow.project import Project, as_project
 
 #: Bounds-pass rules, for ``--list-rules`` and ``--select`` validation.
@@ -66,8 +59,9 @@ BOUNDS_RULES: Dict[str, str] = {
         "no structural decrease on any path"
     ),
     "BND003": (
-        "hot-callee allocation: a container materialization inside an "
-        "inferred-hot callee beyond the '# repro: hot'-marked bodies"
+        "hot-path allocation: a container materialization, or an "
+        "attribute chain re-chased per loop iteration, on a per-reference "
+        "path"
     ),
     "BND004": (
         "bound-annotation hygiene: a stale, invalid, unjustified or "
@@ -76,52 +70,21 @@ BOUNDS_RULES: Dict[str, str] = {
 }
 
 
-@dataclass
-class BoundsReport:
-    """Outcome of one bounds-pass run."""
-
-    findings: List[Finding] = field(default_factory=list)
-    baseline_suppressed: int = 0
-    files_analyzed: int = 0
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.findings else 0
-
-
 def run_bounds_checks(
     project: Union[Project, Sequence[Union[str, Path]]],
-    select: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Union[str, Path]] = None,
-) -> BoundsReport:
-    """Run the cost-bound pass over ``project`` (a built project, or the
-    files and directories to build one from) and subtract the baseline.
-    ``select`` limits rules; ``None`` runs all BND rules."""
-    project = as_project(project)
-    wanted = set(select) if select is not None else set(BOUNDS_RULES)
-
-    findings = run_bounds_analysis(project, wanted)
-
-    baseline = load_baseline(
-        baseline_path if baseline_path is not None else DEFAULT_BASELINE
-    )
-    fresh, suppressed = apply_baseline(findings, baseline)
-    return BoundsReport(
-        findings=fresh,
-        baseline_suppressed=suppressed,
-        files_analyzed=len(project.modules),
-    )
+) -> List[Finding]:
+    """Every BND finding over ``project`` (a built project, or the files
+    and directories to build one from), unfiltered."""
+    return BoundsChecker(as_project(project)).report()
 
 
 __all__ = [
     "BOUNDS_RULES",
     "Bound",
     "BoundsChecker",
-    "BoundsReport",
     "Cost",
     "combine",
     "parse_bound",
-    "run_bounds_analysis",
     "run_bounds_checks",
     "scale",
 ]

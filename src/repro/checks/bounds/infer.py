@@ -20,18 +20,20 @@ The *hot set* seeds from the protocol's per-reference entry points —
 policy ``access``/``evict``/``victim`` (budget ``O(1)``), the hit-run
 entries ``hit_run``/``access_hit_run*`` and the ``_drive*``/``_span*``
 engine loops (budget ``O(n)``, linear in the run/trace), plus anything
-marked ``# repro: hot`` — and propagates like FLOW004's derived-hot
-set: from an ``O(n)``-budget entry through loop-resident call sites,
-from an ``O(1)``-budget function through every call site. Rules:
+marked ``# repro: hot`` — and propagates from an ``O(n)``-budget entry
+through loop-resident call sites, from an ``O(1)``-budget function
+through every call site, stopping at a declared bound. Rules:
 
 - **BND001** — a hot function's inferred cost exceeds its declared or
   default budget (the dominating loop nest is attached as finding
   steps, rendered as SARIF ``codeFlows``);
 - **BND002** — a ``while`` in a hot function walks a linked chain with
   no structural decrease (no cursor advance, no removal, no break);
-- **BND003** — a per-reference allocation or container
-  materialization inside an inferred-hot callee that FLOW004's
-  marker-seeded hot set does not reach;
+- **BND003** — a per-reference allocation (a ``list``/``dict``/
+  ``set``/``frozenset``/``sorted`` call or a comprehension) or an
+  attribute chain of three or more names re-chased inside a loop, in a
+  hot function without a declared bound or in anything a ``# repro:
+  hot`` function reaches per reference (declared bounds or not);
 - **BND004** — a stale, invalid, unjustified or orphaned
   ``# repro: bound`` annotation.
 """
@@ -45,18 +47,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.checks.bounds.cost import Bound, Cost, bounds_by_line, combine, scale
 from repro.checks.findings import Finding
 from repro.checks.flow.callgraph import _local_environment, _resolve_call
-from repro.checks.flow.hotpath import (
-    ALLOCATING_BUILTINS,
-    _own_nodes,
-    hot_functions,
-)
 from repro.checks.flow.project import (
     FunctionInfo,
     ModuleInfo,
     Project,
     attribute_chain,
 )
-from repro.checks.flow.taint import _suppressed
+from repro.checks.kernel.batch import FAST_PATH_NAMES
 from repro.checks.kernel.model import (
     ArrayRole,
     ClassModel,
@@ -67,12 +64,10 @@ from repro.checks.kernel.model import (
 )
 
 #: Per-reference protocol entry points: one call serves one reference,
-#: so the default budget is constant time.
+#: so the default budget is constant time. The hit-run entries
+#: (:data:`repro.checks.kernel.batch.FAST_PATH_NAMES`) serve a whole
+#: reference batch per call, so their default budget is linear.
 ENTRY_CONST_METHODS = {"access", "evict", "victim"}
-
-#: Batch/run entry points: one call serves a whole reference batch, so
-#: the default budget is linear in the batch.
-ENTRY_LINEAR_METHODS = {"hit_run", "access_hit_run", "access_hit_run_multi"}
 
 #: Module-level drive-loop prefixes, recognised in ``*.engine`` modules
 #: (``repro.sim.engine``'s ``_drive*`` / ``_span*`` family).
@@ -109,6 +104,13 @@ _SIZE_PRESERVING_WRAPPERS = {
 
 #: Unresolved calls with a known linear cost when given an iterable.
 _LINEAR_BUILTINS = {"list", "set", "dict", "frozenset", "tuple", "sum"}
+
+#: Builtin container builders BND003 flags (``tuple`` is exempt: the
+#: protocol's event tuples are part of its return contract).
+ALLOCATING_BUILTINS = ("list", "dict", "set", "frozenset", "sorted")
+
+#: Attribute chains at or past this depth inside a hot loop get flagged.
+ATTRIBUTE_CHASE_DEPTH = 3
 
 #: Removal/advance method names that count as structural decrease for
 #: BND002's chain-walk check.
@@ -251,10 +253,12 @@ class BoundsChecker:
         self.table: Dict[str, CostW] = {}
         self._solve()
         #: qualname → (function, budget, why-hot).
-        self.hot: Dict[str, Tuple[FunctionInfo, Cost, str]] = {}
-        self._derive_hot()
+        self.hot = self._reach({
+            func.qualname: (func,) + budget
+            for func in self.project.functions.values()
+            if (budget := self.entry_budget(func)) is not None
+        }, stop_at_bounds=True)
         self.findings: List[Finding] = []
-        self._seen: Set[Tuple[str, int, str, str]] = set()
 
     # -- annotations -------------------------------------------------------
 
@@ -333,7 +337,7 @@ class BoundsChecker:
         if cached is not None:
             return cached
         names: Set[str] = set()
-        for node in _own_nodes(func):
+        for node in func.own_nodes():
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)):
                 continue
@@ -362,7 +366,7 @@ class BoundsChecker:
         self._bounded_local_cache[func.qualname] = bset
         bindings: Dict[str, List[ast.AST]] = {}
         handled: Set[int] = set()
-        for node in _own_nodes(func):
+        for node in func.own_nodes():
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name):
                 bindings.setdefault(node.targets[0].id, []).append(
@@ -385,7 +389,7 @@ class BoundsChecker:
                 bindings.setdefault(node.target.id, []).append(node)
                 handled.add(id(node.target))
         poisoned: Set[str] = set()
-        for node in _own_nodes(func):
+        for node in func.own_nodes():
             if isinstance(node, ast.Name) and isinstance(
                 node.ctx, ast.Store
             ) and id(node) not in handled:
@@ -777,7 +781,7 @@ class BoundsChecker:
             return None
         if func.cls is not None and func.name in ENTRY_CONST_METHODS:
             return Cost.CONST, f"per-reference entry point '{func.name}'"
-        if func.name in ENTRY_LINEAR_METHODS:
+        if func.name in FAST_PATH_NAMES:
             return Cost.LINEAR, f"batch entry point '{func.name}'"
         if func.hot_marked:
             return Cost.LINEAR, "marked '# repro: hot'"
@@ -787,41 +791,42 @@ class BoundsChecker:
             return Cost.LINEAR, f"engine drive loop '{func.name}'"
         return None
 
-    def _derive_hot(self) -> None:
-        frontier: List[str] = []
-        for func in self.project.functions.values():
-            budget = self.entry_budget(func)
-            if budget is not None:
-                self.hot[func.qualname] = (func, budget[0], budget[1])
-                frontier.append(func.qualname)
+    def _reach(
+        self,
+        roots: Dict[str, Tuple[FunctionInfo, Cost, str]],
+        stop_at_bounds: bool,
+    ) -> Dict[str, Tuple[FunctionInfo, Cost, str]]:
+        """``roots`` plus everything they call per reference, as
+        qualname → (function, budget, why-hot).
+
+        From a linear-budget root only loop-resident calls run per
+        reference; from a constant-budget function every call does.
+        With ``stop_at_bounds`` a declared bound accepts the whole
+        subtree's cost at the justified bound, and hotness stops there.
+        """
+        hot = dict(roots)
+        frontier = list(roots)
         while frontier:
             current = frontier.pop(0)
-            info, budget, _why = self.hot[current]
-            if self._declared(current) is not None:
-                # The annotation accepts the whole subtree's cost at
-                # the declared (justified) bound; hotness stops here.
+            info, budget, _why = hot[current]
+            if stop_at_bounds and self._declared(current) is not None:
                 continue
-            linear_entry = (
-                budget == Cost.LINEAR
-                and self.entry_budget(info) is not None
-            )
             for site in self.graph.successors(current):
-                # From a linear-budget entry only loop-resident calls
-                # run per reference; from a constant-budget function
-                # every call does.
-                if linear_entry and not site.in_loop:
+                # Only roots carry a linear budget.
+                if budget == Cost.LINEAR and not site.in_loop:
                     continue
-                if site.callee in self.hot:
+                if site.callee in hot:
                     continue
                 callee = self.project.functions.get(site.callee)
                 if callee is None or callee.module.in_checks_package():
                     continue
-                self.hot[site.callee] = (
+                hot[site.callee] = (
                     callee,
                     Cost.CONST,
                     f"called per-reference from hot {info.display}",
                 )
                 frontier.append(site.callee)
+        return hot
 
     # -- findings ----------------------------------------------------------
 
@@ -834,10 +839,6 @@ class BoundsChecker:
         message: str,
         steps: Tuple[Tuple[int, str], ...] = (),
     ) -> None:
-        key = (mod.modname, lineno, rule, message)
-        if key in self._seen or _suppressed(mod, lineno, rule):
-            return
-        self._seen.add(key)
         self.findings.append(Finding(
             path=mod.path, line=lineno, col=col, rule=rule,
             message=message, steps=steps[:_MAX_TRACE],
@@ -872,7 +873,7 @@ class BoundsChecker:
         """BND002: unbounded chain walks in hot functions."""
         for qualname in sorted(self.hot):
             func, _budget, _why = self.hot[qualname]
-            for node in _own_nodes(func):
+            for node in func.own_nodes():
                 if not isinstance(node, ast.While):
                     continue
                 if not self._chain_walk_exprs(
@@ -897,17 +898,34 @@ class BoundsChecker:
                     ),
                 )
 
-    def check_allocations(self) -> None:
-        """BND003: allocations in inferred-hot callees beyond FLOW004's
-        marker-seeded hot set."""
-        flow_hot = set(hot_functions(self.project, self.graph))
-        for qualname in sorted(self.hot):
-            if qualname in flow_hot:
-                continue  # FLOW004 already polices this body
-            if self._declared(qualname) is not None:
-                continue  # accepted obligation covers the body
-            func, _budget, why = self.hot[qualname]
-            for node in _own_nodes(func):
+    def check_hot_allocations(self) -> None:
+        """BND003: allocations and attribute chasing per reference, in
+        every function a ``# repro: hot`` root reaches and every hot
+        function without a declared bound."""
+        scan = self._reach({
+            func.qualname: (func, Cost.LINEAR, "marked '# repro: hot'")
+            for func in self.project.functions.values()
+            if func.hot_marked and not func.module.in_checks_package()
+        }, stop_at_bounds=False)
+        for qualname, entry in self.hot.items():
+            if qualname not in scan and self._declared(qualname) is None:
+                scan[qualname] = entry
+        for qualname in sorted(scan):
+            func, _budget, why = scan[qualname]
+            nodes = list(func.own_nodes())
+            # own_nodes yields a loop before anything inside it, so one
+            # walk of each outermost loop covers the nested ones.
+            in_loop: Set[int] = set()
+            for node in nodes:
+                if isinstance(node, (ast.For, ast.AsyncFor, ast.While)) \
+                        and id(node) not in in_loop:
+                    in_loop.update(map(id, ast.walk(node)))
+            # Only the outermost attribute of a chain reports.
+            inner = {
+                id(node.value) for node in nodes
+                if isinstance(node, ast.Attribute)
+            }
+            for node in nodes:
                 what: Optional[str] = None
                 if isinstance(node, ast.Call) and isinstance(
                     node.func, ast.Name
@@ -921,16 +939,24 @@ class BoundsChecker:
                     what = "dict comprehension"
                 elif isinstance(node, ast.GeneratorExp):
                     what = "generator expression"
+                elif isinstance(node, ast.Attribute) and id(node) in in_loop \
+                        and id(node) not in inner \
+                        and isinstance(node.ctx, ast.Load):
+                    chain = attribute_chain(node)
+                    if len(chain) >= ATTRIBUTE_CHASE_DEPTH:
+                        what = (
+                            f"attribute chain {'.'.join(chain)} re-chased "
+                            f"per iteration"
+                        )
                 if what is None:
                     continue
                 self._add(
                     func.module, getattr(node, "lineno", func.lineno),
                     getattr(node, "col_offset", 0), "BND003",
                     (
-                        f"{what} in inferred-hot {func.display} ({why}); "
-                        f"the body runs per reference even without a "
-                        f"'# repro: hot' marker — hoist the allocation "
-                        f"out of the hot path or allocate once up front"
+                        f"{what} in hot path {func.display} ({why}); "
+                        f"hoist it out of the per-reference path or "
+                        f"allocate once up front"
                     ),
                 )
 
@@ -979,23 +1005,13 @@ class BoundsChecker:
                     ),
                 )
 
-    def report(self, wanted: Set[str]) -> List[Finding]:
-        if "BND001" in wanted:
-            self.check_budgets()
-        if "BND002" in wanted:
-            self.check_chain_walks()
-        if "BND003" in wanted:
-            self.check_allocations()
-        if "BND004" in wanted:
-            self.check_annotations()
-        return sorted(self.findings)
-
-
-def run_bounds_analysis(
-    project: Project, wanted: Set[str]
-) -> List[Finding]:
-    """Build the cost table and emit BND001–BND004 findings."""
-    return BoundsChecker(project).report(wanted)
+    def report(self) -> List[Finding]:
+        """Every BND finding, unfiltered, in the order the rules ran."""
+        self.check_budgets()
+        self.check_chain_walks()
+        self.check_hot_allocations()
+        self.check_annotations()
+        return self.findings
 
 
 __all__ = [
@@ -1005,6 +1021,4 @@ __all__ = [
     "CostW",
     "ENGINE_ENTRY_PREFIXES",
     "ENTRY_CONST_METHODS",
-    "ENTRY_LINEAR_METHODS",
-    "run_bounds_analysis",
 ]

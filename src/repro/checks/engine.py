@@ -6,13 +6,15 @@ files plus the registry-conformance pass
 whole-program dataflow pass (:mod:`repro.checks.flow`), with
 ``kernel=True``, the slot-typestate pass (:mod:`repro.checks.kernel`),
 and with ``bounds=True``, the cost-bound pass
-(:mod:`repro.checks.bounds`) — filters findings through
-``# repro: noqa RULE`` line suppressions, and renders the survivors as
-a human report, JSON, or SARIF (one merged log whatever the pass mix).
+(:mod:`repro.checks.bounds`) — and renders the survivors as a human
+report, JSON, or SARIF (one merged log whatever the pass mix).
 
-One run reads, parses and comment-tokenizes each file once
-(:class:`SourceFile`); the whole-program passes share one project model
-built from those files, and the baseline is loaded once.
+The passes return raw findings; the engine alone filters them, once for
+every pass: ``--select``, ``# repro: noqa RULE`` line suppressions, one
+copy of each whole-program finding, and the shared baseline. One run
+reads, parses and comment-tokenizes each file once
+(:class:`SourceFile`), and the whole-program passes share one project
+model built from those files.
 
 Exit-code contract (the CLI returns these):
 
@@ -25,8 +27,8 @@ Exit-code contract (the CLI returns these):
 from __future__ import annotations
 
 import ast
+import importlib
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -239,6 +241,20 @@ def _validate_select(wanted: Set[str]) -> None:
         )
 
 
+#: The whole-program passes in run order: ``run_checks`` flag, package,
+#: entry point, rule table, ``--list-rules`` heading and rationale. The
+#: entry point is looked up on its package at call time, so a caller may
+#: rebind it there.
+_PASSES = (
+    ("deep", "repro.checks.flow", "run_flow_checks", "FLOW_RULES",
+     "deep (whole-program dataflow)", "Deep (whole-program) pass."),
+    ("kernel", "repro.checks.kernel", "run_kernel_checks", "KERNEL_RULES",
+     "kernel (slot typestate)", "Kernel (slot-typestate) pass."),
+    ("bounds", "repro.checks.bounds", "run_bounds_checks", "BOUNDS_RULES",
+     "bounds (hot-path cost)", "Bounds (cost-interpreter) pass."),
+)
+
+
 def run_checks(
     paths: Sequence[Union[str, Path]],
     select: Iterable[str] = (),
@@ -251,13 +267,16 @@ def run_checks(
 ) -> CheckReport:
     """Run the full static-analysis pass over ``paths``.
 
+    This is the one place findings are filtered: ``select``, ``# repro:
+    noqa`` comments and the baseline apply here, once, to every pass.
+
     Args:
         paths: files and/or directories to lint.
         select: restrict to these rule codes (empty = all).
         registry: also run the API001 registry-conformance pass (only
             meaningful when linting the repro tree itself).
         deep: also run the whole-program dataflow pass
-            (:mod:`repro.checks.flow` — FLOW001..FLOW004).
+            (:mod:`repro.checks.flow` — FLOW001..FLOW003).
         kernel: also run the slot-typestate pass
             (:mod:`repro.checks.kernel` — KER001..KER004).
         bounds: also run the cost-bound pass
@@ -297,52 +316,34 @@ def run_checks(
 
         report.findings.extend(check_registries())
     # The whole-program passes share one project model of the files
-    # parsed above, built when the first of them runs. They run against
-    # an empty baseline: the shared one is subtracted once, from the
-    # merged findings, so one ``--update-baseline`` covers every pass.
-    # Each entry point is imported from its package here, at call time,
-    # so a caller may rebind it there.
+    # parsed above, built when the first of them runs.
     project: Optional[Project] = None
-
-    def shared_project() -> Project:
-        nonlocal project
+    raw: List[Finding] = []
+    for flag, package, entry, rules, _, _ in _PASSES:
+        if not getattr(report, flag):
+            continue
+        module = importlib.import_module(package)
+        if wanted and not wanted & set(getattr(module, rules)):
+            continue
         if project is None:
             from repro.checks.flow.project import Project
 
             project = Project(files)
-        return project
-
-    if deep:
-        from repro.checks.flow import FLOW_RULES, run_flow_checks
-
-        flow_select = sorted(wanted & set(FLOW_RULES)) if wanted else None
-        if flow_select is None or flow_select:
-            report.findings.extend(run_flow_checks(
-                shared_project(),
-                select=flow_select,
-                baseline_path=os.devnull,
-                manifest_path=manifest,
-            ).findings)
-    if kernel:
-        from repro.checks.kernel import KERNEL_RULES, run_kernel_checks
-
-        kernel_select = sorted(wanted & set(KERNEL_RULES)) if wanted else None
-        if kernel_select is None or kernel_select:
-            report.findings.extend(run_kernel_checks(
-                shared_project(),
-                select=kernel_select,
-                baseline_path=os.devnull,
-            ).findings)
-    if bounds:
-        from repro.checks.bounds import BOUNDS_RULES, run_bounds_checks
-
-        bounds_select = sorted(wanted & set(BOUNDS_RULES)) if wanted else None
-        if bounds_select is None or bounds_select:
-            report.findings.extend(run_bounds_checks(
-                shared_project(),
-                select=bounds_select,
-                baseline_path=os.devnull,
-            ).findings)
+        options = {"manifest_path": manifest} if flag == "deep" else {}
+        raw.extend(getattr(module, entry)(project, **options))
+    # Each whole-program finding is kept once, in the order the passes
+    # produced it, so the first copy's column and steps survive.
+    suppressions = {source.path: source.suppressions for source in files}
+    seen: Set[Tuple[str, int, str, str]] = set()
+    for finding in raw:
+        key = (finding.path, finding.line, finding.rule, finding.message)
+        if (wanted and finding.rule not in wanted) or key in seen:
+            continue
+        seen.add(key)
+        if _suppressed(finding, suppressions.get(finding.path, {})):
+            report.suppressed += 1
+        else:
+            report.findings.append(finding)
     report.findings, report.baseline_suppressed = apply_baseline(
         report.findings, known_baseline
     )
@@ -356,9 +357,6 @@ def rules_by_pass() -> List[Tuple[str, List[Tuple[str, str, str]]]]:
     Returns ``(pass name, [(code, summary, rationale), ...])`` pairs in
     pass order: shallow, deep, kernel, bounds.
     """
-    from repro.checks.bounds import BOUNDS_RULES
-    from repro.checks.flow import FLOW_RULES
-    from repro.checks.kernel import KERNEL_RULES
     from repro.checks.registry_checks import RegistryConformance
 
     rules: List[Rule] = [cls() for cls in AST_RULES]
@@ -373,21 +371,15 @@ def rules_by_pass() -> List[Tuple[str, List[Tuple[str, str, str]]]]:
         "Suppressions must name their rules and justify them so the "
         "debt they hide stays reviewable.",
     ))
-    return [
-        ("shallow (per-file AST)", shallow),
-        ("deep (whole-program dataflow)", [
-            (code, FLOW_RULES[code], "Deep (whole-program) pass.")
-            for code in sorted(FLOW_RULES)
-        ]),
-        ("kernel (slot typestate)", [
-            (code, KERNEL_RULES[code], "Kernel (slot-typestate) pass.")
-            for code in sorted(KERNEL_RULES)
-        ]),
-        ("bounds (hot-path cost)", [
-            (code, BOUNDS_RULES[code], "Bounds (cost-interpreter) pass.")
-            for code in sorted(BOUNDS_RULES)
-        ]),
-    ]
+    groups = [("shallow (per-file AST)", shallow)]
+    for _, package, _, rules_name, heading, rationale in _PASSES:
+        table: Dict[str, str] = getattr(
+            importlib.import_module(package), rules_name
+        )
+        groups.append((heading, [
+            (code, table[code], rationale) for code in sorted(table)
+        ]))
+    return groups
 
 
 def all_rules() -> List[Tuple[str, str, str]]:

@@ -1,11 +1,11 @@
-"""Committed findings baseline for the deep pass.
+"""Committed findings baseline, shared by every ``repro check`` pass.
 
 CI should fail on *new* findings, not on a debt list that predates the
 rule. A baseline file maps stable fingerprints of accepted findings to
-their text; ``repro check --deep`` subtracts it, and
-``--update-baseline`` rewrites it from the current tree. Fingerprints
-deliberately exclude line numbers so unrelated edits above a finding do
-not churn the file.
+their text; ``repro check`` subtracts it once from the merged findings
+of every pass, and ``--update-baseline`` rewrites it from the current
+tree. Fingerprints deliberately exclude line numbers so unrelated edits
+above a finding do not churn the file.
 """
 
 from __future__ import annotations

@@ -124,8 +124,6 @@ def unsound_read_findings(project: Project) -> List[Finding]:
         env = _spec_env(project, func, set(specs))
         if not env:
             continue
-        mod = func.module
-        seen: Set[Tuple[int, str]] = set()
         for node in ast.walk(func.node):
             if not isinstance(node, ast.Attribute):
                 continue
@@ -138,15 +136,8 @@ def unsound_read_findings(project: Project) -> List[Finding]:
                 continue
             if field_name in hashed[cls_name]:
                 continue
-            key = (node.lineno, field_name)
-            if key in seen:
-                continue
-            seen.add(key)
-            codes = mod.file.suppressions.get(node.lineno, ())
-            if codes is None or "FLOW002" in codes:  # type: ignore[operator]
-                continue
             findings.append(Finding(
-                path=mod.path,
+                path=func.module.path,
                 line=node.lineno,
                 col=node.col_offset,
                 rule="FLOW002",

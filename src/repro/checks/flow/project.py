@@ -21,22 +21,23 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
 from repro.checks.engine import SourceFile, iter_python_files
+from repro.checks.rules import attribute_chain
 
 if TYPE_CHECKING:
     from repro.checks.flow.callgraph import CallGraph
     from repro.checks.kernel.model import ClassModel
 
 #: Marker comment promising a function allocates nothing per call; the
-#: hot-path lint (FLOW004) treats it as a root of the hot set.
+#: hot-path allocation lint (BND003) treats it as a root of its hot set.
 HOT_MARKER = "repro: hot"
 
 
@@ -52,18 +53,6 @@ def module_name_for(path: Path) -> Tuple[str, Path]:
     if not parts:
         parts = [path.stem]
     return ".".join(parts), parent
-
-
-def attribute_chain(node: ast.AST) -> Tuple[str, ...]:
-    """``a.b.c`` as ``("a", "b", "c")``; empty when not a plain chain."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return tuple(reversed(parts))
-    return ()
 
 
 @dataclass
@@ -88,6 +77,19 @@ class FunctionInfo:
         if isinstance(self.node, ast.Lambda):
             return [ast.Expr(self.node.body)]
         return list(self.node.body)  # type: ignore[attr-defined]
+
+    def own_nodes(self) -> Iterator[ast.AST]:
+        """Every node of the function except nested def/class/lambda
+        bodies (those are functions of their own)."""
+        stack: List[ast.AST] = [self.node.body] if isinstance(
+            self.node, ast.Lambda
+        ) else list(ast.iter_child_nodes(self.node))
+        while stack:
+            node = stack.pop()
+            yield node
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
 
 
 @dataclass

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.checks.findings import Finding
 from repro.checks.flow.callgraph import CallGraph
@@ -43,13 +43,14 @@ from repro.checks.flow.project import (
     Project,
     attribute_chain,
 )
+from repro.checks.rules import (
+    _NP_RANDOM_OK,
+    _ORDER_LEAKING_CALLS,
+    _is_set_expression,
+)
 
 #: Modules whose attributes are wall clocks / global RNG state.
 NONDET_MODULES = {"time", "datetime", "random"}
-
-#: ``numpy.random`` attributes that are *not* the legacy global API.
-_NP_RANDOM_OK = {"default_rng", "Generator", "SeedSequence", "BitGenerator",
-                 "PCG64", "Philox", "SFC64", "MT19937"}
 
 #: Function names treated as simulation/drive/hash entry points.
 ENTRY_FUNCTION_NAMES = {
@@ -58,9 +59,6 @@ ENTRY_FUNCTION_NAMES = {
 }
 ENTRY_METHOD_NAMES = {"access", "evict"}
 ENTRY_HASH_NAMES = {"content_hash", "spec_hash"}
-
-#: Builtins whose output order mirrors their input's iteration order.
-_ORDER_LEAKING_CALLS = ("list", "tuple", "iter", "enumerate", "reversed")
 
 
 @dataclass(frozen=True)
@@ -80,19 +78,6 @@ def is_entry_point(func: FunctionInfo) -> bool:
     return func.cls is not None and func.name in ENTRY_METHOD_NAMES
 
 
-def _suppressed(mod: ModuleInfo, lineno: int, rule: str) -> bool:
-    codes = mod.file.suppressions.get(lineno, ())
-    return codes is None or rule in codes  # type: ignore[operator]
-
-
-def _is_set_expression(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    return False
-
-
 def _returns_set(mod: ModuleInfo, node: ast.AST) -> bool:
     """True for calls to same-module functions annotated ``-> Set[...]``
     (so ``labels = _labels(...)`` is tracked as set-valued)."""
@@ -108,22 +93,6 @@ def _returns_set(mod: ModuleInfo, node: ast.AST) -> bool:
     return bool(chain) and chain[-1] in (
         "Set", "FrozenSet", "set", "frozenset", "AbstractSet", "MutableSet"
     )
-
-
-def _function_nodes(func: FunctionInfo) -> Iterable[ast.AST]:
-    """Every node of the function except nested def/lambda bodies."""
-    stack: List[ast.AST] = list(
-        ast.iter_child_nodes(func.node)
-    ) if not isinstance(func.node, ast.Lambda) else [func.node.body]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                   ast.ClassDef)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _nondet_root(mod: ModuleInfo, name: str) -> Optional[str]:
@@ -145,19 +114,16 @@ def scan_function_sources(func: FunctionInfo) -> List[TaintSource]:
     sources: List[TaintSource] = []
 
     def add(node: ast.AST, reason: str) -> None:
-        lineno = getattr(node, "lineno", func.lineno)
-        if _suppressed(mod, lineno, "FLOW001"):
-            return
         sources.append(TaintSource(
             func=func.qualname,
             path=mod.path,
-            lineno=lineno,
+            lineno=getattr(node, "lineno", func.lineno),
             col=getattr(node, "col_offset", 0),
             reason=reason,
         ))
 
     set_names: Set[str] = set()
-    for node in _function_nodes(func):
+    for node in func.own_nodes():
         value, targets = None, []
         if isinstance(node, ast.Assign):
             value, targets = node.value, node.targets
@@ -175,7 +141,7 @@ def scan_function_sources(func: FunctionInfo) -> List[TaintSource]:
             return True
         return isinstance(node, ast.Name) and node.id in set_names
 
-    for node in _function_nodes(func):
+    for node in func.own_nodes():
         if isinstance(node, ast.Call):
             chain = attribute_chain(node.func)
             if chain:

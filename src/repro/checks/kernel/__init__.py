@@ -21,24 +21,16 @@ Two analyses run over the model:
   recency mutators in ``hit_run`` / ``access_hit_run`` run only under
   a residency guard.
 
-Suppression is the same ``# repro: noqa KER00x`` comment, findings are
-plain :class:`repro.checks.findings.Finding` values, and the baseline
-store (fingerprints over ``rule|path|message``, no line numbers) is
-shared with the deep pass — one ``--update-baseline``, one file.
+The pass returns its raw findings; ``repro check`` applies ``# repro:
+noqa KER00x`` comments and the baseline every pass shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 from repro.checks.findings import Finding
-from repro.checks.flow.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    load_baseline,
-)
 from repro.checks.flow.project import Project, as_project
 from repro.checks.kernel.batch import run_batch_contract
 from repro.checks.kernel.typestate import KernelChecker, run_typestate
@@ -64,51 +56,18 @@ KERNEL_RULES: Dict[str, str] = {
 }
 
 
-@dataclass
-class KernelReport:
-    """Outcome of one kernel-pass run."""
-
-    findings: List[Finding] = field(default_factory=list)
-    baseline_suppressed: int = 0
-    files_analyzed: int = 0
-
-    @property
-    def exit_code(self) -> int:
-        return 1 if self.findings else 0
-
-
 def run_kernel_checks(
     project: Union[Project, Sequence[Union[str, Path]]],
-    select: Optional[Sequence[str]] = None,
-    baseline_path: Optional[Union[str, Path]] = None,
-) -> KernelReport:
-    """Run the slot-typestate pass over ``project`` (a built project, or
-    the files and directories to build one from) and subtract the
-    baseline. ``select`` limits rules; ``None`` runs all KER rules."""
+) -> List[Finding]:
+    """Every KER finding over ``project`` (a built project, or the files
+    and directories to build one from), unfiltered."""
     project = as_project(project)
-    wanted = set(select) if select is not None else set(KERNEL_RULES)
-
-    findings: List[Finding] = []
-    if wanted & {"KER001", "KER002", "KER003"}:
-        findings.extend(run_typestate(project, wanted))
-    findings.extend(run_batch_contract(project, wanted))
-    findings.sort()
-
-    baseline = load_baseline(
-        baseline_path if baseline_path is not None else DEFAULT_BASELINE
-    )
-    fresh, suppressed = apply_baseline(findings, baseline)
-    return KernelReport(
-        findings=fresh,
-        baseline_suppressed=suppressed,
-        files_analyzed=len(project.modules),
-    )
+    return run_typestate(project) + run_batch_contract(project)
 
 
 __all__ = [
     "KERNEL_RULES",
     "KernelChecker",
-    "KernelReport",
     "run_batch_contract",
     "run_kernel_checks",
     "run_typestate",

@@ -12,19 +12,17 @@ stacks for blocks outside the proven region.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.checks.findings import Finding
 from repro.checks.flow.project import Project
-from repro.checks.flow.taint import _suppressed
 
-#: Entry points whose loops need the recency-region guard.
+#: Entry points whose loops need the recency-region guard (the bounds
+#: pass gives the same entries a linear default budget).
 FAST_PATH_NAMES = {"hit_run", "access_hit_run", "access_hit_run_multi"}
 
 #: Recency-mutating operations a fast path may only run when guarded.
-MUTATOR_NAMES = {
-    "touch", "move_to_front", "move_to_end", "_touch_segment", "access",
-}
+MUTATOR_NAMES = {"touch", "move_to_front", "move_to_end", "access"}
 
 
 def _contains(node: ast.AST, kinds: tuple) -> bool:
@@ -45,7 +43,9 @@ def _mutator_calls(node: ast.AST) -> List[ast.Call]:
     return out
 
 
-def _check_fast_paths(project: Project, findings: List[Finding]) -> None:
+def run_batch_contract(project: Project) -> List[Finding]:
+    """KER004 findings over ``project``."""
+    findings: List[Finding] = []
     for func in project.functions.values():
         if func.name not in FAST_PATH_NAMES or \
                 func.module.in_checks_package() or \
@@ -90,8 +90,6 @@ def _check_fast_paths(project: Project, findings: List[Finding]) -> None:
                     continue
                 if call_in_if or escape_guard or loop_guarded:
                     continue
-                if _suppressed(func.module, call.lineno, "KER004"):
-                    continue
                 name = (call.func.attr if isinstance(call.func, ast.Attribute)
                         else call.func.id)  # type: ignore[union-attr]
                 findings.append(Finding(
@@ -106,15 +104,4 @@ def _check_fast_paths(project: Project, findings: List[Finding]) -> None:
                     steps=((loop.lineno, "loop over the probed run"),
                            (call.lineno, f"unconditional `{name}`")),
                 ))
-
-
-def run_batch_contract(
-    project: Project, select: Optional[Set[str]] = None
-) -> List[Finding]:
-    """KER004 findings over ``project``."""
-    if select is not None and "KER004" not in select:
-        return []
-    findings: List[Finding] = []
-    _check_fast_paths(project, findings)
-    findings.sort()
     return findings

@@ -34,20 +34,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checks.findings import Finding
 from repro.checks.flow.project import (
     FunctionInfo,
-    ModuleInfo,
     Project,
     attribute_chain,
 )
-from repro.checks.flow.taint import _suppressed
 from repro.checks.kernel.model import (
     ArrayRole,
     ClassModel,
-    FunctionSummary,
     LINKING_METHODS,
     ListRole,
     POPPING_METHODS,
@@ -146,13 +143,11 @@ def _is_unlinked_const(expr: ast.expr) -> bool:
 class KernelChecker:
     """Run the typestate pass over every function in a project."""
 
-    def __init__(self, project: Project, select: Optional[Set[str]] = None):
+    def __init__(self, project: Project):
         self.project = project
-        self.select = select
         self.models = project.class_models
         self.summaries = build_summaries(project, self.models)
         self.findings: List[Finding] = []
-        self._seen: Set[Tuple[str, int, str, str]] = set()
 
     def run(self) -> List[Finding]:
         for func in self.project.functions.values():
@@ -161,7 +156,6 @@ class KernelChecker:
             if isinstance(func.node, ast.Lambda):
                 continue
             _FunctionInterp(self, func).run()
-        self.findings.sort()
         return self.findings
 
     def report(
@@ -173,18 +167,9 @@ class KernelChecker:
         message: str,
         steps: Tuple[Tuple[int, str], ...] = (),
     ) -> None:
-        if self.select is not None and rule not in self.select:
-            return
-        mod = func.module
-        if _suppressed(mod, lineno, rule):
-            return
-        key = (mod.path, lineno, rule, message)
-        if key in self._seen:
-            return
-        self._seen.add(key)
         self.findings.append(
             Finding(
-                path=mod.path,
+                path=func.module.path,
                 line=lineno,
                 col=col,
                 rule=rule,
@@ -754,8 +739,6 @@ class _FunctionInterp:
         self._discharge_expr(state, value)
 
 
-def run_typestate(
-    project: Project, select: Optional[Set[str]] = None
-) -> List[Finding]:
+def run_typestate(project: Project) -> List[Finding]:
     """KER001–KER003 findings over every function in ``project``."""
-    return KernelChecker(project, select).run()
+    return KernelChecker(project).run()

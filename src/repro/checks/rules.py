@@ -75,7 +75,7 @@ class Rule:
         )
 
 
-def _attribute_chain(node: ast.AST) -> Tuple[str, ...]:
+def attribute_chain(node: ast.AST) -> Tuple[str, ...]:
     """``a.b.c`` as ``("a", "b", "c")``; empty when not a plain chain."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -129,7 +129,7 @@ class NoWallClockOrGlobalRandom(Rule):
                         f"import from nondeterministic module {root!r}",
                     )
             elif isinstance(node, ast.Attribute):
-                if _attribute_chain(node) == ("os", "urandom"):
+                if attribute_chain(node) == ("os", "urandom"):
                     yield self.finding(
                         ctx, node,
                         "os.urandom is nondeterministic; derive seeds "
@@ -235,7 +235,7 @@ def _is_mutable_expression(node: ast.AST) -> bool:
                          ast.DictComp, ast.SetComp)):
         return True
     if isinstance(node, ast.Call):
-        chain = _attribute_chain(node.func)
+        chain = attribute_chain(node.func)
         return bool(chain) and chain[-1] in _MUTABLE_CONSTRUCTORS
     return False
 
@@ -424,7 +424,7 @@ class NoUnseededRng(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
-            chain = _attribute_chain(node.func)
+            chain = attribute_chain(node.func)
             if not chain:
                 continue
             if chain in (("random", "seed"), ("np", "random", "seed"),

@@ -21,7 +21,7 @@ SARIF_SCHEMA = (
 
 #: Rules whose findings SARIF marks as ``warning`` instead of ``error``
 #: (style/hygiene rather than a correctness proof).
-_WARNING_RULES = {"FLOW004", "NOQA001", "ASSERT001", "BND003", "BND004"}
+_WARNING_RULES = {"NOQA001", "ASSERT001", "BND003", "BND004"}
 
 
 def _rule_descriptors(

@@ -1058,7 +1058,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also run the whole-program dataflow pass (call graph + "
-            "taint + cache-key soundness + hot-path lint, FLOW001..4)"
+            "taint + cache-key soundness, FLOW001..3)"
         ),
     )
     check.add_argument(
@@ -1075,8 +1075,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "also run the static cost-bound pass over the hot paths "
-            "(abstract cost interpreter + '# repro: bound' hygiene, "
-            "BND001..4)"
+            "(abstract cost interpreter + hot-path allocation lint + "
+            "'# repro: bound' hygiene, BND001..4)"
         ),
     )
     check.add_argument(

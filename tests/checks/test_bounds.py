@@ -7,7 +7,8 @@ graph and stopping at annotation boundaries; a regression test pins the
 live ``src/repro`` tree to bounds-clean; and a mutation-injection suite
 plants an O(n) scan, a hot-callee allocation and an unbounded chain
 walk into a correct toy policy and asserts the checker catches every
-planted fault while leaving the unmutated policy clean.
+planted fault while leaving the unmutated policy clean. BND003 also
+covers the bodies ``# repro: hot`` functions reach per reference.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.checks.bounds import run_bounds_checks
+from repro.checks import run_checks
+from repro.checks.bounds import BOUNDS_RULES, run_bounds_checks
 from repro.checks.bounds.cost import Cost, combine, parse_bound, scale
 from repro.checks.bounds.infer import BoundsChecker, CostW
 from repro.checks.flow.baseline import write_baseline
@@ -43,10 +45,11 @@ def write_pkg(tmp_path: Path, files) -> Path:
 def bounds(tmp_path: Path, files, select=None):
     """Bounds-pass findings over a synthetic package (no baseline)."""
     root = write_pkg(tmp_path, files)
-    report = run_bounds_checks(
+    report = run_checks(
         [root],
-        select=select,
-        baseline_path=tmp_path / "no-baseline.json",
+        select=select or BOUNDS_RULES,
+        bounds=True,
+        baseline=tmp_path / "no-baseline.json",
     )
     return report.findings
 
@@ -392,6 +395,118 @@ class TestAllocationsBND003:
         """}, select=["BND003"])
         assert findings == []
 
+    def test_list_allocation_in_marked_hot_function(self, tmp_path):
+        findings = bounds(tmp_path, {"fast.py": """\
+            # repro: hot
+            def drive(refs):
+                return list(refs)
+        """}, select=["BND003"])
+        assert rules_of(findings) == ["BND003"]
+        assert "list(...)" in findings[0].message
+
+    def test_unmarked_function_is_ignored(self, tmp_path):
+        findings = bounds(tmp_path, {"slow.py": """\
+            def report(refs):
+                return list(refs)
+        """}, select=["BND003"])
+        assert findings == []
+
+    def test_hotness_propagates_through_loop_calls(self, tmp_path):
+        findings = bounds(tmp_path, {"fast.py": """\
+            def helper(block):
+                return [block]  # bare display: allowed
+
+            def helper2(block):
+                return sorted([block])
+
+            # repro: hot
+            def drive(refs):
+                total = 0
+                for block in refs:
+                    total += len(helper2(block))
+                helper(refs)
+                return total
+        """}, select=["BND003"])
+        # helper2 is loop-called from a hot root -> derived hot; its
+        # sorted() is flagged. helper is called outside the loop -> cold.
+        assert rules_of(findings) == ["BND003"]
+        assert findings[0].message.startswith("sorted")
+
+    def test_attribute_chase_in_loop(self, tmp_path):
+        findings = bounds(tmp_path, {"fast.py": """\
+            # repro: hot
+            def drive(scheme, refs):
+                total = 0
+                for block in refs:
+                    total += scheme.stats.hits
+                return total
+        """}, select=["BND003"])
+        assert rules_of(findings) == ["BND003"]
+        assert "scheme.stats.hits" in findings[0].message
+
+    def test_tuple_and_displays_are_exempt(self, tmp_path):
+        findings = bounds(tmp_path, {"fast.py": """\
+            # repro: hot
+            def drive(refs):
+                out = []
+                pair = (1, 2)
+                box = {}
+                for block in refs:
+                    out.append(tuple(pair))
+                return out, box
+        """}, select=["BND003"])
+        assert findings == []
+
+    def test_noqa_suppresses_hot_finding(self, tmp_path):
+        findings = bounds(tmp_path, {"fast.py": """\
+            # repro: hot
+            def drive(refs):
+                return list(refs)  # repro: noqa BND003 -- cold tail, runs once
+        """}, select=["BND003"])
+        assert findings == []
+
+    def test_marked_root_reaches_past_a_declared_bound(self, tmp_path):
+        # The budget hot set stops at scan's declared bound; the marked
+        # root still reaches helper per reference through scan.
+        findings = bounds(tmp_path, {"fast.py": """\
+            # repro: hot
+            def drive(table, refs):
+                total = 0
+                for block in refs:
+                    total += scan(table, block)
+                return total
+
+            # repro: bound O(n) -- walks the table once per reference
+            def scan(table, block):
+                for key in table:
+                    if key == block:
+                        return helper(key)
+                return 0
+
+            def helper(key):
+                return len(sorted([key]))
+        """}, select=["BND003"])
+        assert rules_of(findings) == ["BND003"]
+        assert "sorted(...) allocation" in findings[0].message
+        assert "fast.helper" in findings[0].message
+
+    def test_attribute_chase_in_undeclared_victim(self, tmp_path):
+        findings = bounds(tmp_path, {"cache.py": """\
+            class Cache:
+                def __init__(self):
+                    self.levels = []
+                    self.stats = None
+
+                def victim(self):
+                    for level in self.levels:
+                        if level is self.stats.owner.level:
+                            return level
+                    return None
+        """}, select=["BND003"])
+        assert rules_of(findings) == ["BND003"]
+        assert "self.stats.owner.level" in findings[0].message
+        assert "Cache.victim" in findings[0].message
+
 
 class TestAnnotationsBND004:
     def test_unjustified_bound_is_flagged(self, tmp_path):
@@ -473,14 +588,13 @@ class TestBaselineRoundTrip:
                             return True
                     return False
         """}
-        root = write_pkg(tmp_path, files)
-        raw = run_bounds_checks(
-            [root], baseline_path=tmp_path / "none.json"
-        ).findings
+        raw = bounds(tmp_path, files)
         assert raw
         baseline_path = tmp_path / "baseline.json"
         write_baseline(raw, baseline_path)
-        report = run_bounds_checks([root], baseline_path=baseline_path)
+        report = run_checks(
+            [tmp_path / "pkg"], bounds=True, baseline=baseline_path
+        )
         assert report.findings == []
         assert report.baseline_suppressed == len(raw)
 
@@ -556,18 +670,14 @@ class TestInjectedCostBugs:
         name, src, dst, rule = COST_MUTATIONS[0]
         mutated = textwrap.dedent(TOY_POLICY).replace(src, dst)
         root = write_pkg(tmp_path, {"toy.py": mutated})
-        findings = run_bounds_checks(
-            [root], baseline_path=tmp_path / "none.json"
-        ).findings
+        findings = run_bounds_checks([root])
         assert rule in rules_of(findings)
 
     def test_planted_hot_allocation_is_detected(self, tmp_path):
         name, src, dst, rule = COST_MUTATIONS[1]
         mutated = textwrap.dedent(TOY_POLICY).replace(src, dst)
         root = write_pkg(tmp_path, {"toy.py": mutated})
-        findings = run_bounds_checks(
-            [root], baseline_path=tmp_path / "none.json"
-        ).findings
+        findings = run_bounds_checks([root])
         assert rule in rules_of(findings)
 
     @settings(max_examples=len(COST_MUTATIONS) * 3, deadline=None)
@@ -584,9 +694,7 @@ class TestInjectedCostBugs:
         mutated = plain.replace(src, dst).replace("block", block_name)
         tmp_path = tmp_path_factory.mktemp("mut")
         root = write_pkg(tmp_path, {"toy.py": mutated})
-        findings = run_bounds_checks(
-            [root], baseline_path=tmp_path / "none.json"
-        ).findings
+        findings = run_bounds_checks([root])
         assert expected_rule in rules_of(findings), (
             f"mutation {name!r} (block spelled {block_name!r}) "
             f"was not caught; findings: {findings}"
@@ -597,9 +705,9 @@ class TestLiveTree:
     def test_src_repro_is_bounds_clean(self):
         # Acceptance criterion: the live tree passes with the committed
         # baseline — hot-path cost regressions show up here.
-        report = run_bounds_checks([SRC_REPRO])
+        report = run_checks([SRC_REPRO], select=BOUNDS_RULES, bounds=True)
         assert report.findings == []
-        assert report.files_analyzed > 50
+        assert report.files_checked > 50
 
     def test_live_tree_annotations_are_collected(self):
         checker = BoundsChecker(Project([SRC_REPRO]))

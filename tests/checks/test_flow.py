@@ -1,8 +1,8 @@
 """Tests for the whole-program dataflow pass (``repro check --deep``).
 
-Synthetic mini-packages with *known* taint paths, missing hash fields
-and hot-loop allocations assert exact findings; a regression test pins
-the live ``src/repro`` tree to flow-clean modulo the committed baseline.
+Synthetic mini-packages with *known* taint paths and missing hash fields
+assert exact findings; a regression test pins the live ``src/repro``
+tree to flow-clean modulo the committed baseline.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.checks import run_checks
 from repro.checks.flow import (
+    FLOW_RULES,
     fingerprint,
-    run_flow_checks,
     write_baseline,
     write_hash_schema,
 )
@@ -41,11 +42,12 @@ def write_pkg(tmp_path: Path, files) -> Path:
 def flow(tmp_path: Path, files, select=None):
     """Deep-pass findings over a synthetic package (no baseline)."""
     root = write_pkg(tmp_path, files)
-    report = run_flow_checks(
+    report = run_checks(
         [root],
-        select=select,
-        baseline_path=tmp_path / "no-baseline.json",
-        manifest_path=tmp_path / "no-manifest.json",
+        select=select or FLOW_RULES,
+        deep=True,
+        baseline=tmp_path / "no-baseline.json",
+        manifest=tmp_path / "no-manifest.json",
     )
     return report.findings
 
@@ -310,124 +312,43 @@ class TestSchemaFLOW003:
         assert "RunSpec" in schema["schema"]
 
 
-class TestHotPathFLOW004:
-    def test_list_allocation_in_marked_hot_function(self, tmp_path):
-        # Acceptance criterion (3): list(...) inside '# repro: hot'.
-        findings = flow(tmp_path, {"fast.py": """\
-            # repro: hot
-            def drive(refs):
-                return list(refs)
-        """})
-        assert rules_of(findings) == ["FLOW004"]
-        assert "list(...)" in findings[0].message
-
-    def test_unmarked_function_is_ignored(self, tmp_path):
-        findings = flow(tmp_path, {"slow.py": """\
-            def report(refs):
-                return list(refs)
-        """})
-        assert findings == []
-
-    def test_hotness_propagates_through_loop_calls(self, tmp_path):
-        findings = flow(tmp_path, {"fast.py": """\
-            def helper(block):
-                return [block]  # bare display: allowed
-
-            def helper2(block):
-                return sorted([block])
-
-            # repro: hot
-            def drive(refs):
-                total = 0
-                for block in refs:
-                    total += len(helper2(block))
-                helper(refs)
-                return total
-        """})
-        # helper2 is loop-called from a hot root -> derived hot; its
-        # sorted() is flagged. helper is called outside the loop -> cold.
-        assert rules_of(findings) == ["FLOW004"]
-        assert findings[0].message.startswith("sorted")
-
-    def test_attribute_chase_in_loop(self, tmp_path):
-        findings = flow(tmp_path, {"fast.py": """\
-            # repro: hot
-            def drive(scheme, refs):
-                total = 0
-                for block in refs:
-                    total += scheme.stats.hits
-                return total
-        """})
-        assert rules_of(findings) == ["FLOW004"]
-        assert "scheme.stats.hits" in findings[0].message
-
-    def test_tuple_and_displays_are_exempt(self, tmp_path):
-        findings = flow(tmp_path, {"fast.py": """\
-            # repro: hot
-            def drive(refs):
-                out = []
-                pair = (1, 2)
-                box = {}
-                for block in refs:
-                    out.append(tuple(pair))
-                return out, box
-        """})
-        assert findings == []
-
-    def test_noqa_suppresses_hot_finding(self, tmp_path):
-        findings = flow(tmp_path, {"fast.py": """\
-            # repro: hot
-            def drive(refs):
-                return list(refs)  # repro: noqa FLOW004 -- cold tail, runs once
-        """})
-        assert findings == []
-
-
 class TestBaseline:
+    FILES = {"sim.py": """\
+        import random
+
+        def drive(trace):
+            return random.random()
+    """}
+
     def test_baseline_subtracts_known_findings(self, tmp_path):
-        files = {"fast.py": """\
-            # repro: hot
-            def drive(refs):
-                return list(refs)
-        """}
-        root = write_pkg(tmp_path, files)
-        manifest = tmp_path / "no-manifest.json"
-        raw = run_flow_checks(
-            [root],
-            baseline_path=tmp_path / "missing.json",
-            manifest_path=manifest,
+        root = write_pkg(tmp_path, self.FILES)
+        options = dict(
+            select=FLOW_RULES,
+            deep=True,
+            manifest=tmp_path / "no-manifest.json",
         )
+        raw = run_checks([root], baseline=tmp_path / "missing.json",
+                         **options)
         assert len(raw.findings) == 1
         baseline_path = tmp_path / "baseline.json"
         write_baseline(raw.findings, baseline_path)
-        again = run_flow_checks(
-            [root], baseline_path=baseline_path, manifest_path=manifest
-        )
+        again = run_checks([root], baseline=baseline_path, **options)
         assert again.findings == []
         assert again.baseline_suppressed == 1
 
     def test_fingerprint_is_line_number_free(self, tmp_path):
-        files = {"fast.py": """\
-            # repro: hot
-            def drive(refs):
-                return list(refs)
-        """}
-        root = write_pkg(tmp_path, files)
-        kwargs = dict(
-            baseline_path=tmp_path / "missing.json",
-            manifest_path=tmp_path / "no-manifest.json",
-        )
-        first = run_flow_checks([root], **kwargs).findings[0]
-        source = (root / "fast.py").read_text()
-        (root / "fast.py").write_text("# a new leading comment\n" + source)
-        second = run_flow_checks([root], **kwargs).findings[0]
+        first = flow(tmp_path, self.FILES)[0]
+        second = flow(tmp_path, {
+            "sim.py": "# a new leading comment\n"
+            + textwrap.dedent(self.FILES["sim.py"])
+        })[0]
         assert first.line != second.line
         assert fingerprint(first) == fingerprint(second)
 
 
 class TestLiveTree:
     def test_src_repro_is_flow_clean_modulo_baseline(self):
-        report = run_flow_checks([SRC_REPRO])
+        report = run_checks([SRC_REPRO], select=FLOW_RULES, deep=True)
         assert report.findings == []
 
     def test_call_graph_resolves_drive_fanout(self):

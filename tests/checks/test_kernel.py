@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.checks.flow.baseline import write_baseline
+from repro.checks import run_checks
 from repro.checks.kernel import KERNEL_RULES, run_kernel_checks
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
@@ -90,10 +91,11 @@ def write_pkg(tmp_path: Path, files) -> Path:
 def kernel(tmp_path: Path, files, select=None):
     """Kernel-pass findings over a synthetic package (no baseline)."""
     root = write_pkg(tmp_path, files)
-    report = run_kernel_checks(
+    report = run_checks(
         [root],
-        select=select,
-        baseline_path=tmp_path / "no-baseline.json",
+        select=select or KERNEL_RULES,
+        kernel=True,
+        baseline=tmp_path / "no-baseline.json",
     )
     return report.findings
 
@@ -512,14 +514,13 @@ class TestReporting:
                     self.slab.free(victim)
                     self.slab.free(victim)
         """}
-        root = write_pkg(tmp_path, files)
-        raw = run_kernel_checks(
-            [root], baseline_path=tmp_path / "none.json"
-        ).findings
+        raw = kernel(tmp_path, files)
         assert raw
         baseline_path = tmp_path / "baseline.json"
         write_baseline(raw, baseline_path)
-        report = run_kernel_checks([root], baseline_path=baseline_path)
+        report = run_checks(
+            [tmp_path / "pkg"], kernel=True, baseline=baseline_path
+        )
         assert report.findings == []
         assert report.baseline_suppressed == len(raw)
 
@@ -618,9 +619,7 @@ class TestInjectedSpliceBugs:
         mutated = mutated.replace(src, dst).replace("victim", victim_name)
         tmp_path = tmp_path_factory.mktemp("mut")
         root = write_pkg(tmp_path, {"toy.py": mutated})
-        findings = run_kernel_checks(
-            [root], baseline_path=tmp_path / "none.json"
-        ).findings
+        findings = run_kernel_checks([root])
         assert expected_rule in rules_of(findings), (
             f"mutation {name!r} (victim spelled {victim_name!r}) "
             f"was not caught; findings: {findings}"
@@ -631,9 +630,9 @@ class TestLiveTree:
     def test_src_repro_is_kernel_clean(self):
         # Acceptance criterion: the live tree passes with the committed
         # (empty-for-KER) baseline — regressions show up here.
-        report = run_kernel_checks([SRC_REPRO])
+        report = run_checks([SRC_REPRO], select=KERNEL_RULES, kernel=True)
         assert report.findings == []
-        assert report.files_analyzed > 50
+        assert report.files_checked > 50
 
     def test_live_tree_models_the_slab_consumers(self):
         # the pass only means something if it actually resolves the

@@ -3,8 +3,8 @@
 The differential tests pin that sharing the parsed files, the project
 model and its call graph between the passes changes no finding: the
 merged ``--all`` findings equal the sorted union of the shallow run and
-the three standalone pass entry points, each of which builds its own
-model from paths. The work-count tests pin the sharing itself.
+three ``run_checks`` runs with one pass on each, each of which builds
+its own model. The work-count tests pin the sharing itself.
 """
 
 from __future__ import annotations
@@ -21,16 +21,17 @@ import pytest
 import repro
 import repro.checks.kernel.model as kernel_model
 from repro.checks import run_checks
-from repro.checks.bounds import run_bounds_checks
+from repro.checks.bounds import BOUNDS_RULES, run_bounds_checks
 from repro.checks.engine import iter_python_files
 from repro.checks.flow import (
     DEFAULT_BASELINE,
+    FLOW_RULES,
     run_flow_checks,
     write_baseline,
 )
 from repro.checks.flow.callgraph import CallGraph
 from repro.checks.flow.project import Project
-from repro.checks.kernel import run_kernel_checks
+from repro.checks.kernel import KERNEL_RULES, run_kernel_checks
 from repro.errors import ConfigurationError
 from tests.checks import test_bounds, test_kernel
 from tests.checks.test_check_cli import _four_pass_fixture
@@ -38,6 +39,13 @@ from tests.checks.test_check_cli import _four_pass_fixture
 SRC_REPRO = Path(repro.__file__).resolve().parent
 
 PASS_ENTRY_POINTS = (run_flow_checks, run_kernel_checks, run_bounds_checks)
+
+#: ``run_checks`` options that turn exactly one whole-program pass on.
+ONE_PASS = (
+    dict(deep=True, select=FLOW_RULES),
+    dict(kernel=True, select=KERNEL_RULES),
+    dict(bounds=True, select=BOUNDS_RULES),
+)
 
 
 def _cost_mutant(tmp_path: Path, mutation) -> Path:
@@ -80,8 +88,10 @@ class TestMergedRunMatchesSeparatePasses:
             [root], deep=True, kernel=True, bounds=True, baseline=os.devnull
         )
         separate = run_checks([root], baseline=os.devnull).findings
-        for run in PASS_ENTRY_POINTS:
-            separate += run([root], baseline_path=os.devnull).findings
+        for options in ONE_PASS:
+            separate += run_checks(
+                [root], baseline=os.devnull, **options
+            ).findings
         # Finding equality covers rule, path, line, col, message, steps.
         assert merged.findings == sorted(separate)
         if root is not SRC_REPRO:
@@ -97,8 +107,10 @@ class TestMergedRunMatchesSeparatePasses:
             [root], deep=True, kernel=True, bounds=True, baseline=baseline
         )
         separate = run_checks([root], baseline=baseline).baseline_suppressed
-        for run in PASS_ENTRY_POINTS:
-            separate += run([root], baseline_path=baseline).baseline_suppressed
+        for options in ONE_PASS:
+            separate += run_checks(
+                [root], baseline=baseline, **options
+            ).baseline_suppressed
         assert merged.findings == []
         assert merged.baseline_suppressed == separate > 0
 
@@ -160,4 +172,4 @@ def test_pass_entry_points_reject_unparsable_file(tmp_path, run):
     pkg.mkdir()
     (pkg / "broken.py").write_text("def f(:\n    pass\n")
     with pytest.raises(ConfigurationError, match="cannot parse"):
-        run([pkg], baseline_path=os.devnull)
+        run([pkg])
