@@ -56,10 +56,13 @@ mrc-approx:
 		tests/analysis/test_mrc_approx.py -k tentpole_gate
 
 # The end-to-end benchmark's correctness checks (CI's perfbench-check
-# job): its own tests, then one short run of each stream workload at
-# seeds 1 and 2. Every run checks scalar = batched = in-memory drive;
-# the seed-1 runs also check the pinned result hashes (seed 2 has
-# none). A failed check exits 1.
+# job): its own tests, one short run of each stream workload at seeds 1
+# and 2, then check-all untraced and traced. Every stream run checks
+# scalar = batched = in-memory drive; the seed-1 runs also check the
+# pinned result hashes (seed 2 has none). The untraced check-all run
+# fails on any finding beyond the committed baseline; the traced one
+# fails unless each whole-program pass entry point runs exactly once
+# and the findings equal the untraced run's. A failed check exits 1.
 perfbench-check:
 	$(PYTHON) -m pytest -q perfbench/tests
 	$(PYTHON) perfbench/run.py --workload stream-single --seed 1 \
@@ -70,11 +73,14 @@ perfbench-check:
 		--seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload stream-multi --seed 2 \
 		--seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload check-all --seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload check-all --seconds 1 --trace 1
 
 # Maintenance: regenerate the check-pass artefacts after reviewing
 # that the new findings / schema drift are intentional. The baseline
-# file is shared by every pass; --all --update-baseline rewrites it
-# from the shallow, deep, kernel and bounds passes in one go.
+# file is shared by every pass and subtracted once from their merged
+# findings; --all --update-baseline rewrites it from the shallow, deep,
+# kernel and bounds passes in one go.
 baseline:
 	$(PYTHON) -m repro check src/repro --all --update-baseline
 
