@@ -8,19 +8,22 @@ clearing visited bits as it passes survivors, and evicts the first
 unvisited block; unlike CLOCK the survivors *stay where they are*, so
 newly inserted blocks and retained blocks are naturally separated.
 
-The queue is a slab list (:mod:`repro.util.intlist`): one slot per
-resident block, visited bits in a flat slot-indexed array. The hand
-needs positions that stay put while blocks around them come and go,
-which slab slots give and an ``OrderedDict`` does not.
+The hand only ever splits the queue in two, so the queue is two
+insertion-ordered dicts of block -> visited bit, oldest first:
+``_passed`` holds the blocks tailwards of the hand, which this lap has
+already swept, and ``_ahead`` the hand's block (its first key) and
+everything headwards of it, where new blocks are appended. Whenever
+``_ahead`` runs dry the two swap, which is the hand's wrap to the tail.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from collections import OrderedDict
+from itertools import chain
+from typing import Iterator, List, Optional
 
 from repro.errors import ProtocolError
 from repro.policies.base import Block, ReplacementPolicy
-from repro.util.intlist import IntLinkedList
 
 
 class SIEVEPolicy(ReplacementPolicy):
@@ -30,142 +33,85 @@ class SIEVEPolicy(ReplacementPolicy):
 
     def __init__(self, capacity: int) -> None:
         super().__init__(capacity)
-        self._queue = IntLinkedList()
-        self._slots: Dict[Block, int] = {}
-        self._block_at: List[Optional[Block]] = [None]
-        self._visited: List[bool] = [False]
-        #: Slot the next eviction sweep starts from (``None`` = tail).
-        self._hand: Optional[int] = None
+        #: Blocks the hand has passed this lap, oldest first.
+        self._passed: "OrderedDict[Block, bool]" = OrderedDict()
+        #: The hand's block and everything newer, oldest first.
+        self._ahead: "OrderedDict[Block, bool]" = OrderedDict()
 
     def __contains__(self, block: Block) -> bool:
-        return block in self._slots
+        return block in self._ahead or block in self._passed
 
     def __len__(self) -> int:
-        return len(self._slots)
-
-    # -- slab bookkeeping --------------------------------------------------
-
-    def _alloc(self, block: Block) -> int:
-        slot = self._queue.slab.alloc()
-        if slot == len(self._block_at):
-            self._block_at.append(block)
-            self._visited.append(False)
-        else:
-            self._block_at[slot] = block
-            self._visited[slot] = False
-        self._slots[block] = slot
-        return slot
-
-    def _release(self, slot: int) -> Block:
-        block = self._block_at[slot]
-        self._block_at[slot] = None
-        self._visited[slot] = False
-        self._queue.slab.free(slot)
-        del self._slots[block]
-        return block
-
-    # -- the sweep ---------------------------------------------------------
-
-    def _sweep_start(self) -> int:
-        if self._hand is not None:
-            return self._hand
-        tail = self._queue.tail
-        if tail is None:
-            raise ProtocolError("sieve: eviction sweep on empty queue")
-        return tail
-
-    def _advance(self, slot: int) -> int:
-        """Next sweep position: one step towards the head, wrapping to
-        the tail past the head end."""
-        nxt = self._queue.next_towards_head(slot)
-        if nxt is not None:
-            return nxt
-        tail = self._queue.tail
-        if tail is None:  # pragma: no cover - queue emptied mid-sweep
-            raise ProtocolError("sieve: queue emptied during sweep")
-        return tail
+        return len(self._ahead) + len(self._passed)
 
     # repro: bound O(1) amortized -- the sweep clears visited bits;
     # each cleared bit was set by one earlier hit
     def _evict_one(self) -> Block:
-        slot = self._sweep_start()
-        visited = self._visited
-        queue = self._queue
-        # Each pass over a slot either evicts it or clears its bit, so
-        # the sweep terminates within two laps.
-        for _ in range(2 * len(self._slots) + 1):
-            if visited[slot]:
-                visited[slot] = False
-                slot = self._advance(slot)
-                continue
-            self._hand = queue.next_towards_head(slot)
-            queue.remove(slot)
-            return self._release(slot)
-        raise ProtocolError("sieve: eviction sweep failed to settle")
+        # Each step either evicts the hand's block or clears its bit,
+        # so the sweep settles within two laps.
+        ahead, passed = self._ahead, self._passed
+        while True:
+            block, visited = ahead.popitem(last=False)
+            if visited:
+                passed[block] = False
+            if not ahead:  # past the head: wrap to the tail
+                ahead, passed = passed, ahead
+            if not visited:
+                self._ahead, self._passed = ahead, passed
+                return block
 
     # -- ReplacementPolicy interface ---------------------------------------
 
     def touch(self, block: Block) -> None:
-        slot = self._slots.get(block)
-        if slot is None:
+        if block in self._ahead:
+            self._ahead[block] = True
+        elif block in self._passed:
+            self._passed[block] = True
+        else:
             self._require_resident(block)
-            return  # pragma: no cover - _require_resident raised
-        self._visited[slot] = True
 
     def insert(self, block: Block) -> List[Block]:
         self._require_absent(block)
         evicted: List[Block] = []
-        if len(self._slots) >= self.capacity:
+        if len(self) >= self.capacity:
             evicted.append(self._evict_one())
-        self._queue.push_front(self._alloc(block))
+        self._ahead[block] = False
         return evicted
 
     def remove(self, block: Block) -> None:
-        self._require_resident(block)
-        slot = self._slots[block]
-        if self._hand == slot:
-            self._hand = self._queue.next_towards_head(slot)
-        self._queue.remove(slot)
-        self._release(slot)
+        if block in self._ahead:
+            del self._ahead[block]
+            if not self._ahead:  # the hand's block was the head
+                self._ahead, self._passed = self._passed, self._ahead
+        elif block in self._passed:
+            del self._passed[block]
+        else:
+            self._require_resident(block)
 
     # repro: bound O(n) -- pure prediction: simulates the sweep over a
     # snapshot without clearing bits, so it cannot amortize
     def victim(self) -> Optional[Block]:
         """Pure replay of the eviction sweep (no bits are cleared)."""
-        if not self.full or not self._queue.size:
+        if not self.full:
             return None
-        slot = self._sweep_start()
-        visited = self._visited
-        cleared: set = set()
-        for _ in range(2 * len(self._slots) + 1):
-            if visited[slot] and slot not in cleared:
-                cleared.add(slot)
-                slot = self._advance(slot)
-                continue
-            return self._block_at[slot]
-        raise ProtocolError("sieve: victim sweep failed to settle")
+        for block, visited in chain(self._ahead.items(), self._passed.items()):
+            if not visited:
+                return block
+        # Every bit is set: the sweep clears them all and evicts the
+        # hand's block on its second lap.
+        return next(iter(self._ahead))
 
     def resident(self) -> Iterator[Block]:
         """Iterate blocks from newest to oldest."""
-        block_at = self._block_at
-        for slot in self._queue:
-            block = block_at[slot]
-            if block is not None:
-                yield block
+        return chain(reversed(self._ahead), reversed(self._passed))
 
     def check_invariants(self) -> None:
         super().check_invariants()
-        self._queue.check_invariants()
-        if self._queue.size != len(self._slots):
+        if not self._ahead.keys().isdisjoint(self._passed):
             raise ProtocolError(
-                f"sieve: queue size {self._queue.size} != "
-                f"{len(self._slots)} indexed blocks"
+                "sieve: a block is both ahead of and behind the hand"
             )
-        for block, slot in self._slots.items():
-            if self._block_at[slot] != block:
-                raise ProtocolError(
-                    f"sieve: slot {slot} holds {self._block_at[slot]!r}, "
-                    f"index says {block!r}"
-                )
-        if self._hand is not None and not self._queue.linked(self._hand):
-            raise ProtocolError("sieve: hand points at an unlinked slot")
+        if self._passed and not self._ahead:
+            raise ProtocolError(
+                "sieve: the hand passed every block without wrapping"
+            )

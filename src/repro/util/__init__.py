@@ -6,8 +6,7 @@ that the caching protocols and the analysis pipeline are built on:
 - :mod:`repro.util.fenwick` — binary indexed trees with order-statistic
   queries, used for O(log n) recency ranks.
 - :mod:`repro.util.intlist` — integer-slot doubly linked lists over a
-  shared slab, the backbone of the uniLRUstack, the server gLRU and
-  SIEVE's queue.
+  shared slab, the backbone of the uniLRUstack and the server gLRU.
 - :mod:`repro.util.rng` — deterministic random number helpers.
 - :mod:`repro.util.stats` — streaming statistics.
 - :mod:`repro.util.tables` — plain-text table rendering for reports.

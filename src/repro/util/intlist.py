@@ -1,8 +1,11 @@
 """Slab-allocated intrusive linked lists over flat integer arrays.
 
-This is the array kernel under the uniLRUstack's global and per-level
-lists, the multi-client server's gLRU and SIEVE's queue; the
-single-level LRU family and the other policies keep ``OrderedDict`` s.
+This is the array kernel under the two ULC structures that insert a
+block next to an anchor: the uniLRUstack's global and per-level lists,
+where DemotionSearching puts a demoted block at its recency rank in the
+next level's list, and the multi-client server's gLRU, where a demoted
+block goes next to its owner's neighbour. Every single-level policy
+keeps ``OrderedDict`` s, which cannot insert next to an anchor.
 Instead of one node object per element per list, elements are integer
 *slots* handed out by an :class:`IntSlab`, and each
 :class:`IntLinkedList` stores its links in two plain Python lists
@@ -10,9 +13,9 @@ Instead of one node object per element per list, elements are integer
 
 Why this layout wins (cf. Inoue's multi-step LRU, arXiv:2112.09981):
 
-- zero allocation on the steady-state path — a splice or move-to-front
-  writes four list cells; the pointer design allocated a fresh node
-  object per (re)insertion;
+- zero allocation on the steady-state path — a splice writes four
+  list cells; the pointer design allocated a fresh node object per
+  (re)insertion;
 - several lists can share one slot space: the uniLRUstack links every
   tracked block into the global list *and* one per-level list using the
   same slot, so one dictionary lookup keys all of them;
@@ -23,9 +26,9 @@ Kernel contract
 ---------------
 
 ``prev`` and ``next`` are deliberately **public**: the hot loops in
-:mod:`repro.core.stack` and friends splice slots inline instead of
-paying a method call per link update. Code doing so must preserve the
-invariants checked by :meth:`IntLinkedList.check_invariants`:
+:mod:`repro.core.stack` and :mod:`repro.core.multi` splice slots inline
+instead of paying a method call per link update. Code doing so must
+preserve the invariants checked by :meth:`IntLinkedList.check_invariants`:
 
 - slot ``0`` is the list's circular sentinel (``SENTINEL``); it is never
   allocated by the slab;
@@ -67,11 +70,6 @@ class IntSlab:
         self._lists: List["IntLinkedList"] = []
         #: Number of currently allocated slots.
         self.in_use = 0
-
-    @property
-    def capacity(self) -> int:
-        """Total slot space (allocated + free + sentinel)."""
-        return self._capacity
 
     def attach(self, lst: "IntLinkedList") -> None:
         """Register a list so its link arrays grow with the slab."""
@@ -193,23 +191,6 @@ class IntLinkedList:
     def __len__(self) -> int:
         return self.size
 
-    def __bool__(self) -> bool:
-        return self.size > 0
-
-    def linked(self, slot: int) -> bool:
-        """Whether ``slot`` is currently part of this list."""
-        return self.prev[slot] != UNLINKED
-
-    @property
-    def head(self) -> Optional[int]:
-        """First (MRU) slot, or ``None`` if the list is empty."""
-        return self.next[SENTINEL] if self.size else None
-
-    @property
-    def tail(self) -> Optional[int]:
-        """Last (eviction-end) slot, or ``None`` if the list is empty."""
-        return self.prev[SENTINEL] if self.size else None
-
     # repro: bound O(n) -- a full chain walk by design; lazy, so
     # callers pay only for the prefix they consume
     def __iter__(self) -> Iterator[int]:
@@ -232,18 +213,6 @@ class IntLinkedList:
             upcoming = prv[slot]
             yield slot
             slot = upcoming
-
-    def next_towards_head(self, slot: int) -> Optional[int]:
-        """Slot immediately closer to the head, or ``None`` at the head."""
-        self._check_owned(slot)
-        p = self.prev[slot]
-        return None if p == SENTINEL else p
-
-    def next_towards_tail(self, slot: int) -> Optional[int]:
-        """Slot immediately closer to the tail, or ``None`` at the tail."""
-        self._check_owned(slot)
-        n = self.next[slot]
-        return None if n == SENTINEL else n
 
     # -- mutations ---------------------------------------------------------
 
@@ -306,60 +275,11 @@ class IntLinkedList:
         self.size -= 1
         return slot
 
-    def move_to_front(self, slot: int) -> int:
-        """Move a linked slot to the head in O(1)."""
-        self._check_owned(slot)
-        prv, nxt = self.prev, self.next
-        if nxt[SENTINEL] == slot:
-            return slot
-        p, n = prv[slot], nxt[slot]
-        nxt[p] = n
-        prv[n] = p
-        first = nxt[SENTINEL]
-        prv[slot] = SENTINEL
-        nxt[slot] = first
-        prv[first] = slot
-        nxt[SENTINEL] = slot
-        return slot
-
-    def move_to_back(self, slot: int) -> int:
-        """Move a linked slot to the tail in O(1)."""
-        self._check_owned(slot)
-        prv, nxt = self.prev, self.next
-        if prv[SENTINEL] == slot:
-            return slot
-        p, n = prv[slot], nxt[slot]
-        nxt[p] = n
-        prv[n] = p
-        last = prv[SENTINEL]
-        nxt[slot] = SENTINEL
-        prv[slot] = last
-        nxt[last] = slot
-        prv[SENTINEL] = slot
-        return slot
-
-    def pop_front(self) -> int:
-        """Remove and return the head slot."""
-        if self.size == 0:
-            raise ProtocolError("pop_front on empty list")
-        return self.remove(self.next[SENTINEL])
-
     def pop_back(self) -> int:
         """Remove and return the tail slot."""
         if self.size == 0:
             raise ProtocolError("pop_back on empty list")
         return self.remove(self.prev[SENTINEL])
-
-    def clear(self) -> None:
-        """Unlink every slot."""
-        while self.size:
-            self.pop_front()
-
-    # repro: bound O(n) -- diagnostic snapshot of the whole chain
-    # (tests and pure victim replays)
-    def to_list(self) -> List[int]:
-        """Snapshot of the linked slots, head to tail (tests)."""
-        return list(self)
 
     # -- diagnostics -------------------------------------------------------
 

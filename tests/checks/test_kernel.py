@@ -660,8 +660,8 @@ class TestLiveTree:
         assert isinstance(stack.role_of("_levels"), ListSetRole)
         assert stack.role_of("_global").space == stack.role_of("_slab").space
         assert stack.role_of("_levels").space == stack.role_of("_slab").space
-        sieve = models["SIEVEPolicy"]
-        assert isinstance(sieve.role_of("_queue"), ListRole)
+        server = models["ULCServer"]
+        assert isinstance(server.role_of("_glru"), ListRole)
 
     def test_live_tree_summaries_capture_release_idiom(self):
         from repro.checks.flow.project import Project
@@ -680,7 +680,6 @@ class TestLiveTree:
             for qualname, s in summaries.items()
             if s.returns_alloc is not None
         }
-        assert any(q.endswith("SIEVEPolicy._release") for q in frees)
         assert any(q.endswith("ULCServer._release_slot") for q in frees)
-        assert any(q.endswith("SIEVEPolicy._alloc") for q in allocs)
+        assert any(q.endswith("ULCServer._alloc") for q in allocs)
         assert any(q.endswith("UniLRUStack._alloc") for q in allocs)

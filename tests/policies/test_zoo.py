@@ -5,22 +5,133 @@ The contract / lockstep / tiny-capacity suites already cover the
 structural rules; these tests pin each policy's *distinguishing*
 mechanism: SIEVE's lazy promotion, S3-FIFO's ghost-driven main-queue
 admission, W-TinyLFU's frequency duel, LeCaR's regret-driven weight
-updates.
+updates. SIEVE also runs in lockstep with :class:`SieveSpec`, a literal
+transcription of the paper's pseudocode.
 """
 
 from __future__ import annotations
 
-import pytest
+from typing import List, Optional, Set
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.errors import ProtocolError
 from repro.policies import (
     LeCaRPolicy,
     S3FIFOPolicy,
     SIEVEPolicy,
     WTinyLFUPolicy,
 )
+from repro.policies.base import AccessResult
+
+
+class SieveSpec:
+    """SIEVE as the NSDI'24 pseudocode states it (Zhang et al., Alg. 1).
+
+    One list, oldest (tail) first; ``hand`` indexes it, ``None`` meaning
+    the tail; the sweep walks towards the head and wraps to the tail.
+    ``remove`` is not in the paper: a removed hand block hands the hand
+    on to its headwards neighbour, as an eviction does.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.queue: List[int] = []
+        self.hand: Optional[int] = None
+        self.visited: Set[int] = set()
+
+    def access(self, block: int) -> AccessResult:
+        if block in self.queue:
+            self.visited.add(block)
+            return AccessResult(hit=True)
+        evicted = []
+        if len(self.queue) == self.capacity:
+            o = self.hand if self.hand is not None else 0
+            while self.queue[o] in self.visited:
+                self.visited.discard(self.queue[o])
+                o = o + 1 if o + 1 < len(self.queue) else 0
+            evicted.append(self.queue.pop(o))
+            self.hand = o if o < len(self.queue) else None
+        self.queue.append(block)
+        return AccessResult(hit=False, evicted=evicted)
+
+    def remove(self, block: int) -> None:
+        index = self.queue.index(block)
+        del self.queue[index]
+        self.visited.discard(block)
+        if self.hand is not None and self.hand > index:
+            self.hand -= 1
+        elif self.hand == index == len(self.queue):
+            self.hand = None
+
+    def victim(self) -> Optional[int]:
+        if len(self.queue) < self.capacity:
+            return None
+        start = self.hand if self.hand is not None else 0
+        order = self.queue[start:] + self.queue[:start]
+        unvisited = [block for block in order if block not in self.visited]
+        return unvisited[0] if unvisited else order[0]
+
+    def resident(self) -> List[int]:
+        return self.queue[::-1]
+
+
+sieve_ops = st.lists(
+    st.tuples(st.sampled_from(["access", "remove"]), st.integers(0, 11)),
+    max_size=80,
+)
+
+
+#: Fills a 3-block cache, visits 1, then inserts 4: the sweep passes 1
+#: and evicts 2, leaving the hand at 3 with 1 behind it.
+_PASS_ONE = [("access", 1), ("access", 2), ("access", 3), ("access", 1),
+             ("access", 4)]
 
 
 class TestSIEVE:
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.integers(1, 8), ops=sieve_ops)
+    # Removing every block ahead of the hand wraps it to the tail.
+    @example(capacity=3, ops=_PASS_ONE + [("remove", 3), ("remove", 4)])
+    # A hit behind the hand spares that block when the hand comes round.
+    @example(capacity=3, ops=_PASS_ONE + [("access", 1), ("access", 3),
+                                          ("access", 4), ("access", 5)])
+    def test_matches_the_paper_pseudocode(self, capacity, ops):
+        policy, spec = SIEVEPolicy(capacity), SieveSpec(capacity)
+        for op, block in ops:
+            if op == "access":
+                assert policy.access(block) == spec.access(block)
+            elif block in spec.queue:
+                policy.remove(block)
+                spec.remove(block)
+            else:
+                with pytest.raises(ProtocolError):
+                    policy.remove(block)
+            assert policy.victim() == spec.victim()
+            assert list(policy.resident()) == spec.resident()
+            policy.check_invariants()
+
+    def test_check_invariants_catches_a_block_on_both_sides(self):
+        policy = SIEVEPolicy(4)
+        for block in (1, 2, 3, 4):
+            policy.access(block)
+        policy.access(1)
+        policy.access(5)  # the sweep passes 1 and evicts 2
+        policy.remove(5)  # room for the planted copy below
+        policy._passed[3] = False
+        with pytest.raises(ProtocolError, match="both ahead of and behind"):
+            policy.check_invariants()
+
+    def test_check_invariants_catches_a_missed_wrap(self):
+        policy = SIEVEPolicy(4)
+        for block in (1, 2, 3):
+            policy.access(block)
+        policy._passed, policy._ahead = policy._ahead, policy._passed
+        with pytest.raises(ProtocolError, match="without wrapping"):
+            policy.check_invariants()
+
     def test_hits_do_not_reorder_the_queue(self):
         policy = SIEVEPolicy(3)
         for block in (1, 2, 3):

@@ -1,11 +1,11 @@
 """Property tests: IntLinkedList/IntSlab vs DoublyLinkedList.
 
-The slab list is the array kernel under every LRU-family structure; it
-must behave exactly like the pointer-object list it replaced. A random
-operation interpreter drives both implementations in lockstep — two
-slab lists sharing one slot space, mirrored by two node lists — and
-compares order, size, neighbours and error behaviour after every step,
-then validates the array invariants and slab accounting.
+The slab list is the array kernel under the uniLRUstack and the
+server gLRU; it must behave exactly like the pointer-object list it
+replaced. A random operation interpreter drives both implementations in
+lockstep — two slab lists sharing one slot space, mirrored by two node
+lists — and compares order, size, list ends and error behaviour after
+every step, then validates the array invariants and slab accounting.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ OPS = (
     "insert_before",
     "insert_after",
     "remove",
-    "move_to_front",
-    "move_to_back",
-    "pop_front",
     "pop_back",
 )
 
@@ -65,14 +62,14 @@ class Lockstep:
 
     def assert_equal(self) -> None:
         for lst, mirror in zip(self.real, self.mirror):
-            assert lst.to_list() == [n.value for n in mirror]
+            assert list(lst) == [n.value for n in mirror]
             assert len(lst) == len(mirror)
-            assert bool(lst) == bool(mirror)
-            assert lst.head == (
-                mirror.head.value if mirror.head is not None else None
+            # The sentinel's links are the list ends (itself when empty).
+            assert lst.next[SENTINEL] == (
+                mirror.head.value if mirror.head is not None else SENTINEL
             )
-            assert lst.tail == (
-                mirror.tail.value if mirror.tail is not None else None
+            assert lst.prev[SENTINEL] == (
+                mirror.tail.value if mirror.tail is not None else SENTINEL
             )
 
     def run(self, ops) -> None:
@@ -91,7 +88,7 @@ class Lockstep:
         if name == "alloc":
             fresh = self.slab.alloc()
             assert fresh != SENTINEL
-            assert not any(other.linked(fresh) for other in self.real)
+            assert all(other.prev[fresh] == UNLINKED for other in self.real)
             self.nodes[fresh] = [ListNode(fresh), ListNode(fresh)]
             return
         if slot is None:
@@ -99,14 +96,14 @@ class Lockstep:
         node = self.nodes[slot][which]
 
         if name == "free":
-            if any(other.linked(slot) for other in self.real):
+            if any(other.prev[slot] != UNLINKED for other in self.real):
                 with pytest.raises(ProtocolError):
                     self.slab.free(slot)
                 return
             self.slab.free(slot)
             del self.nodes[slot]
         elif name in ("push_front", "push_back"):
-            if lst.linked(slot):
+            if lst.prev[slot] != UNLINKED:
                 with pytest.raises(ProtocolError):
                     getattr(lst, name)(slot)
                 with pytest.raises(ProtocolError):
@@ -119,7 +116,7 @@ class Lockstep:
             if anchor is None:
                 return
             anchor_node = self.nodes[anchor][which]
-            if lst.linked(slot) or not lst.linked(anchor):
+            if lst.prev[slot] != UNLINKED or lst.prev[anchor] == UNLINKED:
                 with pytest.raises(ProtocolError):
                     getattr(lst, name)(slot, anchor)
                 with pytest.raises(ProtocolError):
@@ -127,52 +124,29 @@ class Lockstep:
                 return
             getattr(lst, name)(slot, anchor)
             getattr(mirror, name)(node, anchor_node)
-        elif name in ("remove", "move_to_front", "move_to_back"):
-            if not lst.linked(slot):
+        elif name == "remove":
+            if lst.prev[slot] == UNLINKED:
                 with pytest.raises(ProtocolError):
-                    getattr(lst, name)(slot)
+                    lst.remove(slot)
                 with pytest.raises(ProtocolError):
-                    getattr(mirror, name)(node)
+                    mirror.remove(node)
                 return
-            getattr(lst, name)(slot)
-            getattr(mirror, name)(node)
-        elif name in ("pop_front", "pop_back"):
+            lst.remove(slot)
+            mirror.remove(node)
+        elif name == "pop_back":
             if len(lst) == 0:
                 with pytest.raises(ProtocolError):
-                    getattr(lst, name)()
+                    lst.pop_back()
                 with pytest.raises(ProtocolError):
-                    getattr(mirror, name)()
+                    mirror.pop_back()
                 return
-            popped = getattr(lst, name)()
-            assert popped == getattr(mirror, name)().value
+            assert lst.pop_back() == mirror.pop_back().value
 
 
 @settings(max_examples=200, deadline=None)
 @given(operations)
 def test_random_ops_match_doubly_linked_list(ops):
     Lockstep().run(ops)
-
-
-def test_neighbour_queries_match():
-    state = Lockstep()
-    for _ in range(6):
-        state.step("alloc", 0, 0)
-    slots = sorted(state.nodes)
-    for slot in slots[:4]:
-        state.step("push_back", slots.index(slot), 0)
-    lst, mirror = state.real[0], state.mirror[0]
-    for slot in lst.to_list():
-        node = state.nodes[slot][0]
-        towards_head = lst.next_towards_head(slot)
-        mirror_head = mirror.next_towards_head(node)
-        assert towards_head == (
-            mirror_head.value if mirror_head is not None else None
-        )
-        towards_tail = lst.next_towards_tail(slot)
-        mirror_tail = mirror.next_towards_tail(node)
-        assert towards_tail == (
-            mirror_tail.value if mirror_tail is not None else None
-        )
 
 
 def test_slot_numbering_is_dense_and_deterministic():
@@ -198,11 +172,12 @@ def test_shared_slab_lists_are_independent():
     for slot in slots:
         first.push_back(slot)
         second.push_front(slot)
-    assert first.to_list() == slots
-    assert second.to_list() == slots[::-1]
-    first.move_to_front(slots[2])
-    assert first.to_list() == [slots[2], slots[0], slots[1], slots[3]]
-    assert second.to_list() == slots[::-1]
+    assert list(first) == slots
+    assert list(second) == slots[::-1]
+    first.remove(slots[2])
+    first.push_front(slots[2])
+    assert list(first) == [slots[2], slots[0], slots[1], slots[3]]
+    assert list(second) == slots[::-1]
     second.remove(slots[0])
     first.check_invariants()
     second.check_invariants()
@@ -210,17 +185,6 @@ def test_shared_slab_lists_are_independent():
         slab.free(slots[0])  # still linked in `first`
     first.remove(slots[0])
     slab.free(slots[0])
-
-
-def test_clear_unlinks_everything():
-    slab = IntSlab()
-    lst = IntLinkedList(slab)
-    slots = [lst.push_back(slab.alloc()) for _ in range(10)]
-    lst.clear()
-    assert len(lst) == 0
-    assert all(not lst.linked(slot) for slot in slots)
-    assert all(lst.prev[slot] == UNLINKED for slot in slots)
-    lst.check_invariants()
 
 
 def test_iteration_tolerates_removing_current():
