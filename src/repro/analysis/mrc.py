@@ -8,8 +8,8 @@ included) is at most ``C``. One pass over the trace therefore yields the
 hit rate at **every** capacity simultaneously — the classic Mattson
 construction surveyed in "A Survey of Miss-Ratio Curve Construction
 Techniques" (arXiv:1804.01972). This module computes that profile
-exactly, in O(n log n) via the :class:`~repro.util.fenwick.FenwickTree`
-order-statistic substrate, and derives from it:
+exactly, in O(n log n) from the paper's R
+(:func:`repro.core.measures.recencies_at_access`), and derives from it:
 
 - :func:`mrc_for_trace` — the full hit-rate-vs-capacity curve of one
   LRU cache over a trace, warm-up handled exactly as
@@ -51,12 +51,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.measures import NO_VALUE, recencies_at_access
 from repro.errors import ConfigurationError
 from repro.sim.costs import CostModel
 from repro.sim.engine import DEFAULT_WARMUP, result_from_metrics
 from repro.sim.metrics import MetricsCollector
 from repro.sim.results import RunResult
-from repro.util.fenwick import FenwickTree
 from repro.util.validation import check_fraction, check_positive
 from repro.workloads.base import Trace
 
@@ -126,37 +126,22 @@ class StackDistanceProfile:
 def stack_distances(blocks: Sequence[int]) -> StackDistanceProfile:
     """Exact Mattson stack distances of ``blocks`` in one O(n log n) pass.
 
-    A :class:`~repro.util.fenwick.FenwickTree` over the time slots keeps
-    one live unit per distinct block, parked at the slot of its most
-    recent reference; the stack distance of a re-reference is the number
-    of live units after the block's previous slot (the blocks touched in
-    between), plus one for the block itself.
+    The stack distance of a re-reference is its recency R (the blocks
+    touched since its previous reference, from
+    :func:`~repro.core.measures.recencies_at_access`) plus one for the
+    block itself; a first reference is cold, and the cold references
+    before a position count the distinct blocks seen so far.
     """
-    arr = np.asarray(blocks, dtype=np.int64)
-    n = len(arr)
-    distances = np.empty(n, dtype=np.int64)
-    distinct = np.empty(n, dtype=np.int64)
-    tree = FenwickTree(n)
-    add = tree.add
-    range_sum = tree.range_sum
-    last_slot: Dict[int, int] = {}
-    cold = COLD_DISTANCE
-    for t, block in enumerate(memoryview(arr)):
-        distinct[t] = tree.total
-        prev = last_slot.get(block)
-        if prev is None:
-            distances[t] = cold
-        else:
-            distances[t] = range_sum(prev + 1, t - 1) + 1
-            add(prev, -1)
-        add(t, 1)
-        last_slot[block] = t
+    recencies = recencies_at_access(np.asarray(blocks, dtype=np.int64))
+    cold = recencies == NO_VALUE
+    distances = np.where(cold, COLD_DISTANCE, recencies + 1)
+    distinct = np.cumsum(cold, dtype=np.int64) - cold
     distances.setflags(write=False)
     distinct.setflags(write=False)
     return StackDistanceProfile(
         distances=distances,
         distinct_before=distinct,
-        num_unique=len(last_slot),
+        num_unique=int(np.count_nonzero(cold)),
     )
 
 

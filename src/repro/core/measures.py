@@ -55,14 +55,17 @@ def recencies_at_access(blocks: Sequence[Block]) -> np.ndarray:
     blocks = _as_iterable(blocks)
     n = len(blocks)
     tree = FenwickTree(n)
+    add, suffix_sum = tree.add, tree.suffix_sum
     last_slot: Dict[Block, int] = {}
     out = np.full(n, NO_VALUE, dtype=np.int64)
     for t, block in enumerate(blocks):
         slot = last_slot.get(block)
         if slot is not None:
-            out[t] = tree.range_sum(slot + 1, n - 1)
-            tree.add(slot, -1)
-        tree.add(t, 1)
+            # One live unit per distinct block, at its latest slot: the
+            # units after ``slot`` are the blocks referenced since.
+            out[t] = suffix_sum(slot + 1)
+            add(slot, -1)
+        add(t, 1)
         last_slot[block] = t
     return out
 
@@ -73,9 +76,10 @@ def next_reference_times(blocks: Sequence[Block]) -> np.ndarray:
 
     NumPy inputs take a vectorised path (stable argsort groups the
     positions of each block; within a group every position's successor
-    is its next reference) — the same construction as
-    :class:`repro.workloads.base.TracePreprocess`, which callers holding
-    a :class:`~repro.workloads.base.Trace` should prefer.
+    is its next reference); other sequences take one reverse pass.
+    Callers holding a :class:`~repro.workloads.base.Trace` should read
+    the cached :attr:`~repro.workloads.base.TracePreprocess.next_ref`,
+    which this function computes.
     """
     if isinstance(blocks, np.ndarray):
         ids = blocks

@@ -36,23 +36,12 @@ def _next_use_from_next_ref(next_ref: np.ndarray) -> List[float]:
 
 def compute_next_use(trace: Sequence[Block]) -> List[float]:
     """For each position ``t``, the index of the next reference to
-    ``trace[t]`` after ``t`` (or :data:`NEVER`).
-
-    NumPy inputs use the vectorised next-reference construction (see
-    :class:`repro.workloads.base.TracePreprocess`); other sequences fall
-    back to the reverse Python pass.
+    ``trace[t]`` after ``t`` (or :data:`NEVER`), from
+    :func:`repro.core.measures.next_reference_times`.
     """
-    if isinstance(trace, np.ndarray):
-        from repro.core.measures import next_reference_times
+    from repro.core.measures import next_reference_times
 
-        return _next_use_from_next_ref(next_reference_times(trace))
-    next_use: List[float] = [NEVER] * len(trace)
-    last_seen: Dict[Block, int] = {}
-    for t in range(len(trace) - 1, -1, -1):
-        block = trace[t]
-        next_use[t] = last_seen.get(block, NEVER)
-        last_seen[block] = t
-    return next_use
+    return _next_use_from_next_ref(next_reference_times(trace))
 
 
 class OPTPolicy(ReplacementPolicy):

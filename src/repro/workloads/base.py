@@ -68,17 +68,11 @@ class TracePreprocess:
     __slots__ = ("unique_blocks", "dense_ids", "next_ref")
 
     def __init__(self, blocks: np.ndarray) -> None:
+        from repro.core.measures import next_reference_times
+
         self.unique_blocks, dense = np.unique(blocks, return_inverse=True)
         dense = dense.astype(np.int64, copy=False)
-        n = len(dense)
-        # Next-reference times in O(n log n), vectorised: stable-sort
-        # positions by block id; within each equal-id run, each position's
-        # successor is its next reference.
-        nxt = np.full(n, NO_NEXT, dtype=np.int64)
-        if n:
-            order = np.argsort(dense, kind="stable")
-            same = dense[order[:-1]] == dense[order[1:]]
-            nxt[order[:-1][same]] = order[1:][same]
+        nxt = next_reference_times(dense)
         for arr in (self.unique_blocks, dense, nxt):
             arr.setflags(write=False)
         self.dense_ids = dense

@@ -12,7 +12,6 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.util.fenwick import FenwickTree
 from repro.workloads.base import Trace
 
 
@@ -34,23 +33,14 @@ def reuse_distances(trace: Trace) -> np.ndarray:
 
     The stack distance of a reference is the number of distinct blocks
     accessed since the previous reference to the same block — the cache
-    size at which the reference would hit under LRU. Computed in
-    O(n log n) with a Fenwick tree over access timestamps.
+    size at which the reference would hit under LRU: the paper's R
+    (:func:`repro.core.measures.recencies_at_access`) without the first
+    references.
     """
-    blocks = trace.blocks
-    n = len(blocks)
-    tree = FenwickTree(n)
-    last_slot: Dict[int, int] = {}
-    distances: List[int] = []
-    for t, block in enumerate(memoryview(blocks)):
-        slot = last_slot.get(block)
-        if slot is not None:
-            # Distinct blocks accessed after `slot` = live slots in (slot, t).
-            distances.append(tree.range_sum(slot + 1, n - 1))
-            tree.add(slot, -1)
-        tree.add(t, 1)
-        last_slot[block] = t
-    return np.asarray(distances, dtype=np.int64)
+    from repro.core.measures import NO_VALUE, recencies_at_access
+
+    recencies = recencies_at_access(trace.blocks)
+    return recencies[recencies != NO_VALUE]
 
 
 def lru_hit_rate_curve(trace: Trace, sizes: List[int]) -> Dict[int, float]:
