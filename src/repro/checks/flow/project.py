@@ -283,12 +283,6 @@ class ModuleInfo:
 
     # -- queries -----------------------------------------------------------
 
-    @property
-    def rel_path(self) -> str:
-        """Package-root-relative path (stable across checkouts), used by
-        baseline fingerprints."""
-        return self.modname.replace(".", "/") + ".py"
-
     def is_rng_module(self) -> bool:
         return self.modname.endswith("util.rng")
 

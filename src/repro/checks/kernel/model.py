@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.checks.flow.project import (
     ClassInfo,
@@ -353,7 +353,3 @@ def method_summary(
         if target is not None:
             return summaries.get(target.qualname)
     return None
-
-
-def call_args(call: ast.Call) -> Sequence[ast.expr]:
-    return list(call.args)

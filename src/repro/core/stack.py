@@ -217,10 +217,6 @@ class UniLRUStack:
 
     # -- mutations -----------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _alloc(self, node: StackNode) -> int:
         slot = self._slab.alloc()
         node_at = self._node_at

@@ -8,19 +8,11 @@ demotion components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.events import AccessEvent
 from repro.errors import ProtocolError
 from repro.sim.costs import CostModel
-
-
-@dataclass
-class LevelStats:
-    """Hit statistics of one level."""
-
-    hits: int = 0
 
 
 class MetricsCollector:

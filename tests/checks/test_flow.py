@@ -7,11 +7,8 @@ tree to flow-clean modulo the committed baseline.
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
-
-import pytest
 
 import repro
 from repro.checks import run_checks

@@ -8,7 +8,6 @@ from repro.core.events import AccessEvent, Demotion
 from repro.errors import ConfigurationError, ProtocolError
 from repro.sim import (
     BLOCK_BYTES,
-    CostModel,
     MetricsCollector,
     bytes_to_blocks,
     custom,
