@@ -41,12 +41,11 @@ LIST_CTORS = ("IntLinkedList",)
 #: IntLinkedList methods that *link* their first argument.
 LINKING_METHODS = (
     "push_front", "push_back", "insert_before", "insert_after",
-    "move_to_front", "move_to_back",
 )
 #: IntLinkedList methods that *unlink* their first argument.
 UNLINKING_METHODS = ("remove",)
 #: IntLinkedList methods returning a freshly unlinked slot.
-POPPING_METHODS = ("pop_front", "pop_back")
+POPPING_METHODS = ("pop_back",)
 
 
 @dataclass(frozen=True)

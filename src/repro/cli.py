@@ -68,7 +68,7 @@ import sys
 import time  # repro: noqa DET001 -- wall-clock reporting of CLI duration, not simulation state
 from typing import List, Optional, Sequence
 
-from repro.errors import ReproError, UnknownExperimentError
+from repro.errors import ConfigurationError, ReproError, UnknownExperimentError
 from repro.experiments import (
     FIGURE6_WORKLOADS,
     FIGURE7_WORKLOADS,
@@ -77,6 +77,16 @@ from repro.experiments import (
     run_figure6,
     run_figure7,
     run_section2,
+)
+from repro.runner import CostSpec, RunSpec, WorkloadSpec, materialize_trace, run_specs
+from repro.util.tables import format_table
+from repro.workloads.io import (
+    COLUMNAR_SUFFIX,
+    DEFAULT_CHUNK_REFS,
+    ColumnarTrace,
+    DenseInterner,
+    convert_to_columnar,
+    open_trace_chunks,
 )
 
 EXPERIMENTS = ("figure2", "figure3", "table1", "figure6", "figure7",
@@ -100,8 +110,6 @@ def _run_check(args: argparse.Namespace) -> int:
     from repro.checks import format_findings, rules_by_pass, run_checks
 
     if args.list_rules:
-        from repro.util.tables import format_table
-
         for pass_name, group in rules_by_pass():
             rows = []
             for code, summary, rationale in group:
@@ -199,17 +207,6 @@ def _run_trace(args: argparse.Namespace) -> int:
     ever materialising the whole reference array; ``trace info`` prints
     a ``.ctr`` manifest (or any readable trace's headline stats).
     """
-    from repro.errors import ConfigurationError
-    from repro.util.tables import format_table
-    from repro.workloads.io import (
-        COLUMNAR_SUFFIX,
-        DEFAULT_CHUNK_REFS,
-        ColumnarTrace,
-        DenseInterner,
-        convert_to_columnar,
-        open_trace_chunks,
-    )
-
     chunk_size = (
         args.chunk_size if args.chunk_size is not None else DEFAULT_CHUNK_REFS
     )
@@ -222,35 +219,12 @@ def _run_trace(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             "the trace command needs an input: --trace PATH"
         )
-    if verb == "convert":
-        if args.out is None:
-            raise ConfigurationError(
-                f"trace convert needs --out DIR (a {COLUMNAR_SUFFIX} "
-                "directory to write)"
-            )
-        chunks, info = open_trace_chunks(
-            args.trace,
-            fmt=args.trace_format,
-            block_column=args.block_column,
-            client_column=args.client_column,
-            delimiter=args.delimiter,
-            skip_header=args.skip_header,
-            dtype=args.binary_dtype,
-            chunk_size=chunk_size,
+    if verb == "convert" and args.out is None:
+        raise ConfigurationError(
+            f"trace convert needs --out DIR (a {COLUMNAR_SUFFIX} "
+            "directory to write)"
         )
-        interner = DenseInterner() if args.intern else None
-        written = convert_to_columnar(
-            chunks, args.out, info=info, interner=interner
-        )
-        detail = f", {len(interner)} distinct blocks interned" \
-            if interner is not None else ""
-        print(
-            f"wrote {written.path}: {len(written)} references"
-            f"{detail} (clients: {'yes' if written.has_clients else 'no'})"
-        )
-        return 0
-    # verb == "info"
-    if str(args.trace).endswith(COLUMNAR_SUFFIX):
+    if verb == "info" and str(args.trace).endswith(COLUMNAR_SUFFIX):
         columnar = ColumnarTrace(args.trace)
         rows: List[List[object]] = [
             ["path", str(columnar.path)],
@@ -274,6 +248,18 @@ def _run_trace(args: argparse.Namespace) -> int:
         dtype=args.binary_dtype,
         chunk_size=chunk_size,
     )
+    if verb == "convert":
+        interner = DenseInterner() if args.intern else None
+        written = convert_to_columnar(
+            chunks, args.out, info=info, interner=interner
+        )
+        detail = f", {len(interner)} distinct blocks interned" \
+            if interner is not None else ""
+        print(
+            f"wrote {written.path}: {len(written)} references"
+            f"{detail} (clients: {'yes' if written.has_clients else 'no'})"
+        )
+        return 0
     refs = 0
     has_clients = False
     for chunk in chunks:
@@ -290,12 +276,18 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _workload(args: argparse.Namespace) -> WorkloadSpec:
+    """The workload of ``simulate``, ``mrc`` and ``classify``: the
+    ``--trace`` file, else ``--refs`` references of ``--workload``."""
+    if args.trace is not None:
+        return WorkloadSpec("file", str(args.trace))
+    return WorkloadSpec("large", args.workload, {"num_refs": args.refs})
+
+
 def _validate_capacities(capacities: List[int]) -> List[int]:
     """Reject non-positive or duplicate ``--capacities`` values with a
     :class:`ConfigurationError` (CLI exit code 2) instead of letting a
     raw traceback escape from the profilers."""
-    from repro.errors import ConfigurationError
-
     for capacity in capacities:
         if capacity <= 0:
             raise ConfigurationError(
@@ -316,8 +308,6 @@ def _validate_rate(flag: str, rate: Optional[float]) -> Optional[float]:
     :class:`ConfigurationError` naming the offending flag (CLI exit
     code 2) instead of letting the profilers raise from deep inside
     their threshold arithmetic."""
-    from repro.errors import ConfigurationError
-
     if rate is None:
         return None
     if not 0.0 < rate <= 1.0:
@@ -353,11 +343,6 @@ def _run_mrc(args: argparse.Namespace) -> str:
     """
     from repro.analysis.approx import aet_mrc, shards_mrc
     from repro.analysis.mrc import che_mrc, mrc_for_trace
-    from repro.errors import ConfigurationError
-    from repro.runner import WorkloadSpec, materialize_trace
-    from repro.util.tables import format_table
-    from repro.workloads.io import COLUMNAR_SUFFIX, ColumnarTrace
-
     capacities = (
         _validate_capacities(args.capacities) if args.capacities else None
     )
@@ -380,13 +365,7 @@ def _run_mrc(args: argparse.Namespace) -> str:
     # profilers then consume the in-memory trace chunk-wise.
     trace = None
     if not args.approx_only or source is None:
-        if args.trace is not None:
-            workload = WorkloadSpec("file", str(args.trace))
-        else:
-            workload = WorkloadSpec(
-                "large", args.workload, {"num_refs": args.refs}
-            )
-        trace = materialize_trace(workload)
+        trace = materialize_trace(_workload(args))
     if source is None:
         source = trace
 
@@ -457,21 +436,9 @@ def _run_mrc(args: argparse.Namespace) -> str:
 
 def _run_classify(args: argparse.Namespace) -> str:
     """The ``classify`` command: pattern-classify a trace or workload."""
-    from repro.util.tables import format_table
-    from repro.workloads import (
-        classify_pattern,
-        load_npz,
-        load_text,
-        make_large_workload,
-    )
+    from repro.workloads import classify_pattern
 
-    if args.trace is not None:
-        if str(args.trace).endswith(".npz"):
-            trace = load_npz(args.trace)
-        else:
-            trace = load_text(args.trace)
-    else:
-        trace = make_large_workload(args.workload, num_refs=args.refs)
+    trace = materialize_trace(_workload(args))
     verdict = classify_pattern(trace)
     rows = [["trace", trace.info.name],
             ["references", len(trace)],
@@ -492,7 +459,6 @@ def _describe_workloads(scale: str, only: Optional[List[str]]) -> str:
         BASELINE_REFS as F7_REFS,
         EXTRA_GEOMETRY,
     )
-    from repro.util.tables import format_table
     from repro.workloads import (
         describe,
         make_large_workload,
@@ -609,22 +575,9 @@ def _run_simulate(args: argparse.Namespace) -> str:
     ``--cache-dir`` makes repeated invocations with identical parameters
     return instantly from the on-disk result cache.
     """
-    from repro.runner import (
-        CostSpec,
-        RunSpec,
-        WorkloadSpec,
-        materialize_trace,
-        run_specs,
-    )
     from repro.sim import custom, paper_three_level, paper_two_level
-    from repro.util.tables import format_table
 
-    if args.trace is not None:
-        workload = WorkloadSpec("file", str(args.trace))
-    else:
-        workload = WorkloadSpec(
-            "large", args.workload, {"num_refs": args.refs}
-        )
+    workload = _workload(args)
     if args.clients:
         num_clients = args.clients
     else:
@@ -798,7 +751,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--trace",
         default=None,
-        help="trace file (.npz or text) to replay (simulate)",
+        help=(
+            "trace file to replay (simulate, mrc, classify), read by "
+            "suffix: .ctr, .npz, .csv, .bin/.raw, else text"
+        ),
     )
     simulate.add_argument(
         "--workload",

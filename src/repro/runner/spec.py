@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TraceFormatError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.hierarchy.registry import make_scheme
 from repro.sim.costs import CostModel
@@ -36,7 +36,10 @@ from repro.workloads.base import Trace
 #: Version 2: RunResult grew an explicit ``t_message_ms`` component
 #: (previously folded into ``t_demotion_ms``), so version-1 cached
 #: results carry an incompatible time decomposition.
-SPEC_VERSION = 2
+#: Version 3: file workloads are read by suffix through
+#: ``open_trace_chunks``, so a ``.csv``, ``.bin`` or ``.raw`` file that
+#: version 2 parsed as a text trace now parses in its own format.
+SPEC_VERSION = 3
 
 
 def _canonical_json(payload: object) -> str:
@@ -63,8 +66,9 @@ class WorkloadSpec:
     Attributes:
         kind: ``"large"`` / ``"multi"`` / ``"small"`` (the named paper
             workload families), ``"synthetic"`` (a pattern primitive from
-            :mod:`repro.workloads.synthetic`) or ``"file"`` (an ``.npz``,
-            columnar ``.ctr`` or text trace on disk).
+            :mod:`repro.workloads.synthetic`) or ``"file"`` (any trace
+            :func:`~repro.workloads.io.open_trace_chunks` reads, chosen
+            by suffix).
         name: workload/generator name, or the file path for ``"file"``.
         params: keyword arguments forwarded to the factory (``scale``,
             ``num_refs``, ``seed`` ...). Must be JSON-serializable.
@@ -142,18 +146,9 @@ class WorkloadSpec:
                 ) from None
             return generator(**self.params)
         # kind == "file"
-        from repro.workloads.io import (
-            COLUMNAR_SUFFIX,
-            ColumnarTrace,
-            load_npz,
-            load_text,
-        )
+        from repro.workloads.io import materialize, open_trace_chunks
 
-        if str(self.name).endswith(COLUMNAR_SUFFIX):
-            return ColumnarTrace(self.name).materialize()
-        if str(self.name).endswith(".npz"):
-            return load_npz(self.name)
-        return load_text(self.name)
+        return materialize(*open_trace_chunks(self.name))
 
 
 def _file_digest(path: str) -> str:
@@ -162,18 +157,21 @@ def _file_digest(path: str) -> str:
     into the digest so renames invalidate too)."""
     digest = hashlib.sha256()
     target = Path(path)
-    members = (
-        sorted(p for p in target.iterdir() if p.is_file())
-        if target.is_dir()
-        else [target]
-    )
-    for member in members:
-        if target.is_dir():
-            digest.update(member.name.encode("utf-8"))
-            digest.update(b"\x00")
-        with open(member, "rb") as handle:
-            for chunk in iter(lambda: handle.read(1 << 20), b""):
-                digest.update(chunk)
+    try:
+        members = (
+            sorted(p for p in target.iterdir() if p.is_file())
+            if target.is_dir()
+            else [target]
+        )
+        for member in members:
+            if target.is_dir():
+                digest.update(member.name.encode("utf-8"))
+                digest.update(b"\x00")
+            with open(member, "rb") as handle:
+                for chunk in iter(lambda: handle.read(1 << 20), b""):
+                    digest.update(chunk)
+    except OSError as exc:
+        raise TraceFormatError(f"cannot read trace {path}: {exc}") from exc
     return digest.hexdigest()
 
 

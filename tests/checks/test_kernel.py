@@ -61,12 +61,6 @@ KERNEL_STUB = """\
         def remove(self, slot):
             return slot
 
-        def move_to_front(self, slot):
-            return slot
-
-        def pop_front(self):
-            return 1
-
         def pop_back(self):
             return 1
 """

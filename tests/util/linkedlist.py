@@ -2,10 +2,10 @@
 
 The pointer-node list the library's LRU stacks were first built on,
 kept as the reference :class:`repro.util.intlist.IntLinkedList` is
-checked against in lockstep (``tests/util/test_intlist.py``). Nodes are
-first-class objects owned by the caller, so a node can be unlinked,
-moved to the front, or inserted before/after another node in O(1)
-without any lookup.
+checked against in lockstep (``tests/util/test_intlist.py``), cut to
+the operations that lockstep compares. Nodes are first-class objects
+owned by the caller, so a node can be unlinked or inserted
+before/after another node in O(1) without any lookup.
 
 The list uses a circular sentinel internally, which removes every special
 case for empty lists and boundary nodes.
@@ -77,16 +77,6 @@ class DoublyLinkedList(Generic[T]):
             yield node  # type: ignore[misc]
             node = nxt
 
-    # repro: bound O(n) -- a full chain walk by design; lazy, so
-    # callers pay only for the suffix they consume
-    def iter_reverse(self) -> Iterator[ListNode[T]]:
-        """Iterate nodes from tail to head."""
-        node = self._sentinel.prev
-        while node is not self._sentinel:
-            prv = node.prev
-            yield node  # type: ignore[misc]
-            node = prv
-
     @property
     def head(self) -> Optional[ListNode[T]]:
         """First node, or ``None`` if the list is empty."""
@@ -150,52 +140,13 @@ class DoublyLinkedList(Generic[T]):
         self._length -= 1
         return node
 
-    def move_to_front(self, node: ListNode[T]) -> ListNode[T]:
-        """Move an owned node to the head in O(1)."""
-        self._check_owned(node)
-        if self._sentinel.next is node:
-            return node
-        self.remove(node)
-        return self.push_front(node)
-
-    def move_to_back(self, node: ListNode[T]) -> ListNode[T]:
-        """Move an owned node to the tail in O(1)."""
-        self._check_owned(node)
-        if self._sentinel.prev is node:
-            return node
-        self.remove(node)
-        return self.push_back(node)
-
-    def pop_front(self) -> ListNode[T]:
-        """Remove and return the head node."""
-        if self._length == 0:
-            raise ProtocolError("pop_front on empty list")
-        return self.remove(self._sentinel.next)  # type: ignore[arg-type]
-
     def pop_back(self) -> ListNode[T]:
         """Remove and return the tail node."""
         if self._length == 0:
             raise ProtocolError("pop_back on empty list")
         return self.remove(self._sentinel.prev)  # type: ignore[arg-type]
 
-    def next_towards_head(self, node: ListNode[T]) -> Optional[ListNode[T]]:
-        """Node immediately closer to the head, or ``None`` at the head."""
-        self._check_owned(node)
-        prev = node.prev
-        return None if prev is self._sentinel else prev
-
-    def next_towards_tail(self, node: ListNode[T]) -> Optional[ListNode[T]]:
-        """Node immediately closer to the tail, or ``None`` at the tail."""
-        self._check_owned(node)
-        nxt = node.next
-        return None if nxt is self._sentinel else nxt
-
     def values(self) -> Iterator[T]:
         """Iterate the stored values from head to tail."""
         for node in self:
             yield node.value
-
-    def clear(self) -> None:
-        """Unlink every node."""
-        while self._length:
-            self.pop_front()
