@@ -42,6 +42,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.checks.engine import BOUND_RE
+
 
 class Cost(enum.IntEnum):
     """Totally ordered symbolic cost; larger is worse."""
@@ -108,10 +110,6 @@ def scale(multiplier: Cost, body: Cost) -> Cost:
         return Cost.QUADRATIC
     return Cost.TOP
 
-
-#: ``# repro: bound <rest>`` — the rest is parsed by
-#: :func:`parse_bound`.
-BOUND_RE = re.compile(r"#\s*repro:\s*bound\b(?P<rest>.*)")
 
 #: Matches the bound expression at the start of the comment rest.
 _EXPR_RE = re.compile(

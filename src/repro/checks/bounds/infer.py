@@ -52,6 +52,7 @@ from repro.checks.flow.project import (
     ModuleInfo,
     Project,
     attribute_chain,
+    loop_nested_ids,
 )
 from repro.checks.kernel.batch import FAST_PATH_NAMES
 from repro.checks.kernel.model import (
@@ -320,7 +321,7 @@ class BoundsChecker:
             return cached
         model = self._model_of(func)
         roles: Dict[str, object] = {}
-        for node in ast.walk(func.node):
+        for node in func.walk():
             if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                     and isinstance(node.targets[0], ast.Name):
                 role = resolve_role(node.value, roles, model)
@@ -912,14 +913,8 @@ class BoundsChecker:
                 scan[qualname] = entry
         for qualname in sorted(scan):
             func, _budget, why = scan[qualname]
-            nodes = list(func.own_nodes())
-            # own_nodes yields a loop before anything inside it, so one
-            # walk of each outermost loop covers the nested ones.
-            in_loop: Set[int] = set()
-            for node in nodes:
-                if isinstance(node, (ast.For, ast.AsyncFor, ast.While)) \
-                        and id(node) not in in_loop:
-                    in_loop.update(map(id, ast.walk(node)))
+            nodes = func.own_nodes()
+            in_loop = loop_nested_ids(nodes)
             # Only the outermost attribute of a chain reports.
             inner = {
                 id(node.value) for node in nodes

@@ -12,9 +12,10 @@ report, JSON, or SARIF (one merged log whatever the pass mix).
 The passes return raw findings; the engine alone filters them, once for
 every pass: ``--select``, ``# repro: noqa RULE`` line suppressions, one
 copy of each whole-program finding, and the shared baseline. One run
-reads, parses and comment-tokenizes each file once
-(:class:`SourceFile`), and the whole-program passes share one project
-model built from those files.
+reads, parses and walks each file once (:class:`SourceFile`) and
+tokenizes the comments only of files that hold a noqa or bound
+directive; the whole-program passes share one project model built from
+those files.
 
 Exit-code contract (the CLI returns these):
 
@@ -56,6 +57,11 @@ if TYPE_CHECKING:
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa\b(?:[:\s]+(?P<rules>[A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*))?"
 )
+
+#: ``# repro: bound <rest>`` — the rest is parsed by
+#: :func:`repro.checks.bounds.cost.parse_bound`. It lives here, beside
+#: the noqa directive, because :attr:`SourceFile.comments` reads both.
+BOUND_RE = re.compile(r"#\s*repro:\s*bound\b(?P<rest>.*)")
 
 
 def _suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
@@ -187,8 +193,9 @@ class SourceFile:
     """One checked file, read and parsed once per run.
 
     Every pass reads the file through this object: the shallow rules and
-    the project model share its tree, NOQA001 and the bounds annotations
-    share its comment tokens, and the noqa table is built once.
+    the project model share its tree and its node list, NOQA001 and the
+    bounds annotations share its comment tokens, and the noqa table is
+    built once.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -202,8 +209,23 @@ class SourceFile:
             ) from exc
 
     @cached_property
+    def nodes(self) -> Tuple[ast.AST, ...]:
+        """Every node of the tree in ``ast.walk`` order, walked once and
+        shared by the shallow rules and the project model."""
+        return tuple(ast.walk(self.tree))
+
+    @cached_property
     def comments(self) -> List[Tuple[int, int, str]]:
-        """``(lineno, col, text)`` of every comment token."""
+        """``(lineno, col, text)`` of every comment token, or ``[]`` when
+        no noqa or bound directive appears anywhere in the source.
+
+        Both readers (NOQA001 and the bounds annotations) act only on
+        comments that hold one of those directives, so skipping the
+        tokenizer elsewhere changes nothing they see.
+        """
+        if _NOQA_RE.search(self.source) is None \
+                and BOUND_RE.search(self.source) is None:
+            return []
         return _comment_tokens(self.source)
 
     @cached_property
@@ -217,7 +239,7 @@ def check_file(
 ) -> Tuple[List[Finding], int]:
     """Lint one file; returns (visible findings, suppressed count)."""
     source = path if isinstance(path, SourceFile) else SourceFile(path)
-    ctx = FileContext(source.path, source.source, source.tree)
+    ctx = FileContext(source.path, source.source, source.tree, source.nodes)
     raw = run_ast_rules(ctx, select=select)
     wanted = set(select)
     if not wanted or "NOQA001" in wanted:

@@ -72,7 +72,7 @@ def hashed_keys(cls: ClassInfo) -> Set[str]:
         method = cls.methods.get(method_name)
         if method is None:
             continue
-        for node in ast.walk(method.node):
+        for node in method.walk():
             if isinstance(node, ast.Dict):
                 for key in node.keys:
                     if isinstance(key, ast.Constant) and isinstance(
@@ -99,7 +99,7 @@ def _spec_env(
                 env[param] = name
     if func.cls is not None and func.cls.name in spec_names:
         env["self"] = func.cls.name
-    for node in ast.walk(func.node):
+    for node in func.walk():
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name) \
                 and isinstance(node.value, ast.Call) \
@@ -124,7 +124,7 @@ def unsound_read_findings(project: Project) -> List[Finding]:
         env = _spec_env(project, func, set(specs))
         if not env:
             continue
-        for node in ast.walk(func.node):
+        for node in func.walk():
             if not isinstance(node, ast.Attribute):
                 continue
             chain = attribute_chain(node)

@@ -30,14 +30,16 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.checks.flow.project import (
+    LOOPS,
     ClassInfo,
     FunctionInfo,
     ModuleInfo,
     Project,
     attribute_chain,
+    loop_nested_ids,
     param_annotations,
 )
 
@@ -106,7 +108,7 @@ def _local_environment(
             return dispatch_tables(expr.body) + dispatch_tables(expr.orelse)
         return []
 
-    for node in ast.walk(func.node):
+    for node in func.walk():
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target = node.targets[0]
@@ -268,7 +270,7 @@ def build_call_graph(project: Project) -> CallGraph:
         )
         _walk_calls(
             project, graph, mod, func, func.body(),
-            class_env, alias_env, dispatch_env, in_loop=False,
+            class_env, alias_env, dispatch_env,
         )
     return graph
 
@@ -282,7 +284,6 @@ def _walk_calls(
     class_env: Dict[str, List[str]],
     alias_env: Dict[str, List[FunctionInfo]],
     dispatch_env: Dict[str, List[str]],
-    in_loop: bool,
 ) -> None:
     for stmt in body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -293,15 +294,21 @@ def _walk_calls(
             )
             if nested is not None:
                 graph.add(CallSite(
-                    func.qualname, nested.qualname, stmt.lineno, in_loop
+                    func.qualname, nested.qualname, stmt.lineno, False
                 ))
             continue
-        loops_here = isinstance(stmt, (ast.For, ast.AsyncFor, ast.While))
-        for node in _shallow_walk(stmt):
+        loops_here = isinstance(stmt, LOOPS)
+        nodes = _shallow_walk(stmt)
+        # Ids of the nodes inside a loop of this statement, built for
+        # the first call the statement's own loop does not cover.
+        looped: Optional[Set[int]] = None
+        for node in nodes:
             if isinstance(node, ast.Call):
-                node_in_loop = in_loop or loops_here or _inside_loop(
-                    stmt, node
-                )
+                node_in_loop = loops_here
+                if not node_in_loop:
+                    if looped is None:
+                        looped = loop_nested_ids(nodes)
+                    node_in_loop = id(node) in looped
                 for target in _resolve_call(
                     project, mod, func, node,
                     class_env, alias_env, dispatch_env,
@@ -339,13 +346,3 @@ def _shallow_walk(stmt: ast.stmt) -> List[ast.AST]:
             continue
         stack.extend(ast.iter_child_nodes(node))
     return out
-
-
-def _inside_loop(stmt: ast.stmt, target: ast.AST) -> bool:
-    """Whether ``target`` sits inside a loop nested within ``stmt``."""
-    for node in ast.walk(stmt):
-        if isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-            for child in ast.walk(node):
-                if child is target:
-                    return True
-    return False

@@ -21,10 +21,11 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterator,
+    Iterable,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -39,6 +40,22 @@ if TYPE_CHECKING:
 #: Marker comment promising a function allocates nothing per call; the
 #: hot-path allocation lint (BND003) treats it as a root of its hot set.
 HOT_MARKER = "repro: hot"
+
+
+#: The statements that repeat their body.
+LOOPS = (ast.For, ast.AsyncFor, ast.While)
+
+
+def loop_nested_ids(nodes: Iterable[ast.AST]) -> Set[int]:
+    """Ids of every node inside a loop among ``nodes``, the loops
+    included. ``nodes`` must yield each loop before anything inside it
+    (``ast.walk`` and :meth:`FunctionInfo.own_nodes` do), so one walk of
+    each outermost loop covers the loops nested in it."""
+    ids: Set[int] = set()
+    for node in nodes:
+        if isinstance(node, LOOPS) and id(node) not in ids:
+            ids.update(map(id, ast.walk(node)))
+    return ids
 
 
 def module_name_for(path: Path) -> Tuple[str, Path]:
@@ -78,18 +95,33 @@ class FunctionInfo:
             return [ast.Expr(self.node.body)]
         return list(self.node.body)  # type: ignore[attr-defined]
 
-    def own_nodes(self) -> Iterator[ast.AST]:
+    def walk(self) -> Tuple[ast.AST, ...]:
+        """Every node of the function, nested bodies included, in
+        ``ast.walk`` order; walked once and shared by every pass."""
+        return self._walked
+
+    def own_nodes(self) -> Tuple[ast.AST, ...]:
         """Every node of the function except nested def/class/lambda
-        bodies (those are functions of their own)."""
+        bodies (those are functions of their own), computed once."""
+        return self._own
+
+    @cached_property
+    def _walked(self) -> Tuple[ast.AST, ...]:
+        return tuple(ast.walk(self.node))
+
+    @cached_property
+    def _own(self) -> Tuple[ast.AST, ...]:
+        out: List[ast.AST] = []
         stack: List[ast.AST] = [self.node.body] if isinstance(
             self.node, ast.Lambda
         ) else list(ast.iter_child_nodes(self.node))
         while stack:
             node = stack.pop()
-            yield node
+            out.append(node)
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                      ast.ClassDef, ast.Lambda)):
                 stack.extend(ast.iter_child_nodes(node))
+        return tuple(out)
 
 
 @dataclass
@@ -152,7 +184,7 @@ class ModuleInfo:
         return ".".join(base)
 
     def _collect(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self.file.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]

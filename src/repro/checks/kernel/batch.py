@@ -51,11 +51,12 @@ def run_batch_contract(project: Project) -> List[Finding]:
                 func.module.in_checks_package() or \
                 isinstance(func.node, ast.Lambda):
             continue
+        nodes = func.walk()
         parents: Dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(func.node):
+        for node in nodes:
             for child in ast.iter_child_nodes(node):
                 parents[child] = node
-        for loop in ast.walk(func.node):
+        for loop in nodes:
             if not isinstance(loop, (ast.For, ast.While)):
                 continue
             # rule 3: the loop runs only after a proof check

@@ -166,7 +166,7 @@ def class_model(project: Project, cls: ClassInfo) -> ClassModel:
             )
         return None
 
-    for node in ast.walk(init.node):
+    for node in init.walk():
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
@@ -285,7 +285,7 @@ def summarize_function(
         if idx - offset >= 0
     }
     alloc_vars: Dict[str, str] = {}
-    for node in ast.walk(func.node):
+    for node in func.walk():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             target = resolve_role(node.func.value, {}, model)
             if isinstance(target, SlabRole):

@@ -31,12 +31,20 @@ RNG_MODULE_PARTS = ("util", "rng.py")
 
 
 class FileContext:
-    """Everything a rule needs to know about one source file."""
+    """Everything a rule needs to know about one source file.
 
-    def __init__(self, path: str, source: str, tree: ast.Module) -> None:
+    ``nodes`` is every node of ``tree`` in ``ast.walk`` order; rules
+    iterate it instead of walking the tree again.
+    """
+
+    def __init__(
+        self, path: str, source: str, tree: ast.Module,
+        nodes: Sequence[ast.AST],
+    ) -> None:
         self.path = path
         self.source = source
         self.tree = tree
+        self.nodes = nodes
         # Path components after the last ``repro``/``src`` segment, or the
         # raw components when the file lives outside the package (unit
         # tests lint synthetic files from a temp directory).
@@ -109,7 +117,7 @@ class NoWallClockOrGlobalRandom(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.is_rng_module():
             return
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]
@@ -168,8 +176,8 @@ class NoSetIteration(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.parts and not ctx.in_dirs(RESULT_BEARING_DIRS):
             return
-        tracked = self._set_bound_names(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        tracked = self._set_bound_names(ctx.nodes)
+        for node in ctx.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 if self._leaks_order(node.iter, tracked):
                     yield self.finding(
@@ -195,10 +203,10 @@ class NoSetIteration(Rule):
                         )
 
     @staticmethod
-    def _set_bound_names(tree: ast.Module) -> Set[str]:
+    def _set_bound_names(nodes: Sequence[ast.AST]) -> Set[str]:
         """Names (plain or ``self.attr``) ever assigned a set expression."""
         names: Set[str] = set()
-        for node in ast.walk(tree):
+        for node in nodes:
             value = None
             targets: List[ast.expr] = []
             if isinstance(node, ast.Assign):
@@ -264,7 +272,7 @@ class NoSharedMutableState(Rule):
         if ctx.parts and not ctx.in_dirs(RESULT_BEARING_DIRS):
             return
         yield from self._scan_body(ctx, ctx.tree.body, scope="module")
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.ClassDef):
                 yield from self._scan_body(
                     ctx, node.body, scope=f"class {node.name}"
@@ -308,7 +316,7 @@ class NoBlindExcept(Rule):
     BLANKET = ("Exception", "BaseException")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
@@ -352,7 +360,7 @@ class NoRuntimeAssert(Rule):
     summary = "no assert for runtime validation (stripped under python -O)"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, ast.Assert):
                 yield self.finding(
                     ctx, node,
@@ -387,7 +395,7 @@ class NoFloatEquality(Rule):
     summary = "no float-literal ==/!= on metric values (use math.isclose)"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
@@ -421,7 +429,7 @@ class NoUnseededRng(Rule):
     summary = "no unseeded or global-state PRNG use (seed via repro.util.rng)"
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             chain = attribute_chain(node.func)

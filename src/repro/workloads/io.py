@@ -43,6 +43,7 @@ import json
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
+from tokenize import TokenError
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, TextIO, Tuple, Union)
 from zipfile import BadZipFile
@@ -103,15 +104,40 @@ def save_npz(trace: Trace, path: PathLike) -> None:
 
 
 def load_npz(path: PathLike) -> Trace:
-    """Read a trace written by :func:`save_npz`."""
+    """Read a trace written by :func:`save_npz`.
+
+    Every failure — an unreadable or corrupt archive, a missing column,
+    a column that is not integer-typed, a client id outside int32 or a
+    block id outside int64 — raises :class:`TraceFormatError` naming
+    the file, so no id is silently truncated or wrapped.
+    """
     try:
         with np.load(Path(path)) as archive:
             blocks = archive["blocks"]
             clients = archive["clients"]
             meta = json.loads(archive["meta"].tobytes().decode())
+    # EOFError onwards: a corrupt zip layer (RuntimeError: an entry
+    # flagged as encrypted) or .npy header (TokenError: NumPy's header
+    # filter hit the end of an unclosed dict or tuple).
     except (OSError, KeyError, ValueError, EOFError, NotImplementedError,
-            BadZipFile, zlib.error) as exc:  # the last four: a corrupt zip
+            BadZipFile, zlib.error, RuntimeError, TokenError) as exc:
         raise TraceFormatError(f"cannot load trace from {path}: {exc}") from exc
+    for what, ids, dtype in (("block", blocks, np.int64),
+                             ("client", clients, np.int32)):
+        if not np.issubdtype(ids.dtype, np.integer):
+            raise TraceFormatError(
+                f"{path}: the {what}s column holds {ids.dtype}, not integers"
+            )
+        if ids.size == 0 or np.can_cast(ids.dtype, dtype):
+            continue
+        limits = np.iinfo(dtype)
+        for index in (int(ids.argmax()), int(ids.argmin())):
+            value = int(ids.flat[index])
+            if not limits.min <= value <= limits.max:
+                raise TraceFormatError(
+                    f"{path}: {what} id {value} at reference {index} is "
+                    f"outside {limits.dtype}"
+                )
     info = TraceInfo(
         name=meta.get("name", "unnamed"),
         description=meta.get("description", ""),

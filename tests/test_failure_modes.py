@@ -10,6 +10,7 @@ the text the error line must contain.
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -73,6 +74,50 @@ def truncated_npz(tmp_path):
     save_npz(zipf_trace(32, 200, seed=1), path)
     path.write_bytes(path.read_bytes()[:100])
     return ["classify", "--trace", str(path)], str(path)
+
+
+def _npz(path, blocks, clients):
+    meta = np.frombuffer(b"{}", dtype=np.uint8)
+    np.savez(path, blocks=blocks, clients=clients, meta=meta)
+    return path
+
+
+def npz_float_block_ids(tmp_path):
+    path = _npz(tmp_path / "wide.npz", np.array([1.7, 2.2, 3.9]),
+                np.array([0, 2**32 + 1, 5], dtype=np.int64))
+    return ["classify", "--trace", str(path)], str(path)
+
+
+def npz_client_above_int32(tmp_path):
+    path = _npz(tmp_path / "wide.npz", np.array([1, 2, 3]),
+                np.array([0, 2**32 + 1, 5], dtype=np.int64))
+    return ["classify", "--trace", str(path)], str(path)
+
+
+def npz_entry_flagged_encrypted(tmp_path):
+    path = tmp_path / "x.npz"
+    save_npz(zipf_trace(32, 10, seed=1), path)
+    data = bytearray(path.read_bytes())
+    entry = data.find(b"PK\x01\x02")  # the first central-directory entry
+    data[entry + 8] |= 0x01  # general-purpose flag bit 0: encrypted
+    path.write_bytes(bytes(data))
+    return SIM + ["--trace", str(path)], str(path)
+
+
+def npz_unclosed_array_header(tmp_path):
+    path = tmp_path / "t.npz"
+    save_npz(zipf_trace(32, 10, seed=1), path)
+    with zipfile.ZipFile(path) as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    header_end = members["blocks.npy"].index(b"}")
+    members["blocks.npy"] = (
+        members["blocks.npy"][:header_end] + b" "
+        + members["blocks.npy"][header_end + 1:]
+    )
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name, data)
+    return SIM + ["--trace", str(path)], str(path)
 
 
 def manifest_without_refs(tmp_path):
@@ -171,6 +216,10 @@ ROWS = [
     client_above_int32,
     block_above_int64,
     truncated_npz,
+    npz_float_block_ids,
+    npz_client_above_int32,
+    npz_entry_flagged_encrypted,
+    npz_unclosed_array_header,
     manifest_without_refs,
     manifest_is_a_list,
     manifest_info_not_object,
