@@ -46,6 +46,11 @@ from typing import (
     Union,
 )
 
+from repro.checks.baseline import (
+    DEFAULT_BASELINE,
+    apply_baseline,
+    load_baseline,
+)
 from repro.checks.findings import Finding
 from repro.checks.rules import AST_RULES, FileContext, Rule, run_ast_rules
 from repro.errors import ConfigurationError
@@ -311,12 +316,6 @@ def run_checks(
     report = CheckReport(deep=deep, kernel=kernel, bounds=bounds)
     wanted = set(select)
     _validate_select(wanted)
-    from repro.checks.flow.baseline import (
-        DEFAULT_BASELINE,
-        apply_baseline,
-        load_baseline,
-    )
-
     known_baseline = load_baseline(
         baseline if baseline is not None else DEFAULT_BASELINE
     )

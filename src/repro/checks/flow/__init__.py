@@ -17,7 +17,8 @@ The pipeline:
 
 The pass returns its raw findings. ``repro check``
 (:func:`repro.checks.engine.run_checks`) applies ``# repro: noqa
-FLOW00x`` comments and the committed baseline (:mod:`baseline`) to them,
+FLOW00x`` comments and the committed baseline
+(:mod:`repro.checks.baseline`, re-exported here) to them,
 as it does to every pass, and renders them in every output format.
 """
 
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.checks.findings import Finding
-from repro.checks.flow.baseline import (
+from repro.checks.baseline import (
     DEFAULT_BASELINE,
     apply_baseline,
     fingerprint,

@@ -71,8 +71,11 @@ class MultiLevelScheme(abc.ABC):
         :meth:`~repro.sim.metrics.MetricsCollector.record` once per
         event. An override must leave the scheme and the collector
         exactly as this loop would, also when a reference raises
-        mid-span; ULC's serves pure level-1 hits in its engine's
-        hit-run kernel and counts them in bulk.
+        mid-span. ULC's serves pure level-1 hits in its engine's
+        hit-run kernel and counts them in bulk; indLRU's and DEMOTE's
+        run each reference's whole protocol in a fused loop with no
+        event and fold the span's tallies with
+        :meth:`~repro.sim.metrics.MetricsCollector.record_counts`.
         """
         access = self.access
         if clients is None:

@@ -19,13 +19,26 @@ the remaining levels are shared.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from collections import OrderedDict
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Container,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.core.events import AccessEvent
 from repro.errors import ConfigurationError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.policies.base import Block, ReplacementPolicy
+from repro.policies.lru import LRUPolicy, MRUPolicy
 from repro.policies.registry import make_policy
+
+if TYPE_CHECKING:
+    from repro.sim.metrics import MetricsCollector
 
 
 class IndependentScheme(MultiLevelScheme):
@@ -66,11 +79,15 @@ class IndependentScheme(MultiLevelScheme):
         ]
         if policies[0] != "lru":
             self.name = "ind-" + "-".join(policies)
-
-    def _level_cache(self, client: int, level: int) -> ReplacementPolicy:
-        if level == 1:
-            return self._client_caches[client]
-        return self._shared[level - 2]
+        # What access_span tests a client-level hit against and touches:
+        # an LRU or MRU cache's OrderedDict, whose move_to_end is all
+        # the policy's touch does, or else the policy itself.
+        client_type = type(self._client_caches[0])
+        self._hit_touch: Callable[[Any, Block], None] = client_type.touch
+        self._hit_sets: List[Container[Block]] = list(self._client_caches)
+        if client_type in (LRUPolicy, MRUPolicy):
+            self._hit_touch = OrderedDict.move_to_end
+            self._hit_sets = [cache._order for cache in self._client_caches]
 
     def access_hit_run(self, client: int, blocks: Sequence[Block]) -> int:
         """Fast-forward through a run of level-1 hits.
@@ -84,20 +101,93 @@ class IndependentScheme(MultiLevelScheme):
         self._check_client(client)
         return self._client_caches[client].hit_run(blocks)
 
+    # repro: hot
+    def access_span(
+        self,
+        clients: Optional[Sequence[int]],
+        blocks: Sequence[Block],
+        metrics: Optional["MetricsCollector"],
+    ) -> None:
+        """:meth:`access` over the span with no event per reference.
+
+        A client-level hit is served inline: on an LRU or MRU client
+        cache it is ``move_to_end`` on the policy's ``OrderedDict``,
+        which is all the policy's ``touch`` does; any other policy goes
+        through its own ``__contains__`` and ``touch``. Every other
+        reference takes :meth:`_read_through`, as in :meth:`access`.
+        Hits and misses are counted locally and reach
+        :meth:`~repro.sim.metrics.MetricsCollector.record_counts` once,
+        in a ``finally``, so a reference that raises (a client the
+        scheme does not have) leaves scheme and collector where the
+        per-reference loop would.
+        """
+        hit_sets = self._hit_sets
+        hit_touch = self._hit_touch
+        read_through = self._read_through
+        num_clients = self.num_clients
+        refs = [0] * num_clients
+        misses = [0] * num_clients
+        level_hits = [0] * self.num_levels
+        try:
+            if clients is None:
+                # One client: a hit needs no client check and no index.
+                hit_set = hit_sets[0]
+                for block in blocks:
+                    if block in hit_set:
+                        hit_touch(hit_set, block)
+                    else:
+                        level = read_through(0, block)
+                        if level is None:
+                            misses[0] += 1
+                        else:
+                            level_hits[level - 1] += 1
+                    refs[0] += 1
+            else:
+                for client, block in zip(clients, blocks):
+                    if not 0 <= client < num_clients:
+                        self._check_client(client)
+                    hit_set = hit_sets[client]
+                    if block in hit_set:
+                        hit_touch(hit_set, block)
+                    else:
+                        level = read_through(client, block)
+                        if level is None:
+                            misses[client] += 1
+                        else:
+                            level_hits[level - 1] += 1
+                    refs[client] += 1
+        finally:
+            if metrics is not None:
+                level_hits[0] = sum(refs) - sum(misses) - sum(level_hits)
+                metrics.record_counts(refs, misses, level_hits)
+
+    def _read_through(self, client: int, block: Block) -> Optional[int]:
+        """Serve a reference that missed ``client``'s cache: the first
+        shared level holding ``block`` serves it, and every level above
+        that one caches it, deepest first; evictions are silent drops.
+        Returns the serving level, or ``None`` for a miss."""
+        levels = self._shared
+        depth = 0
+        for shared in levels:
+            if block in shared:
+                shared.touch(block)
+                break
+            depth += 1
+        level = depth + 2 if depth < len(levels) else None
+        while depth:
+            depth -= 1
+            levels[depth].insert(block)
+        self._client_caches[client].insert(block)
+        return level
+
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
-        hit_level: Optional[int] = None
-        for level in range(1, self.num_levels + 1):
-            cache = self._level_cache(client, level)
-            if block in cache:
-                cache.touch(block)
-                hit_level = level
-                break
-        # Cache the block at every level above the serving one
-        # (read-through); evictions are silent drops.
-        top_missed = self.num_levels if hit_level is None else hit_level - 1
-        for level in range(top_missed, 0, -1):
-            self._level_cache(client, level).insert(block)
+        cache = self._client_caches[client]
+        if block in cache:
+            cache.touch(block)
+            hit_level: Optional[int] = 1
+        else:
+            hit_level = self._read_through(client, block)
         return AccessEvent(
             block=block,
             client=client,
@@ -107,7 +197,9 @@ class IndependentScheme(MultiLevelScheme):
 
     def resident(self, client: int, level: int) -> List[Block]:
         """Contents of one cache (tests)."""
-        return list(self._level_cache(client, level).resident())
+        if level == 1:
+            return list(self._client_caches[client].resident())
+        return list(self._shared[level - 2].resident())
 
     def check_invariants(self) -> None:
         """Every per-client and shared cache passes its policy's own

@@ -38,7 +38,9 @@ as the paper did).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.events import AccessEvent, Demotion
 from repro.core.protocol import ULCClient
@@ -46,8 +48,10 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.hierarchy.base import MultiLevelScheme
 from repro.hierarchy.ulc import ULCScheme
 from repro.policies.base import Block
-from repro.policies.lru import LRUPolicy
 from repro.util.validation import check_in, check_int, check_positive
+
+if TYPE_CHECKING:
+    from repro.sim.metrics import MetricsCollector
 
 
 class UnifiedLRUClient(ULCClient):
@@ -134,6 +138,12 @@ INSERT_ADAPTIVE = "adaptive"
 class UnifiedLRUMultiScheme(MultiLevelScheme):
     """Multi-client DEMOTE: private client LRUs + exclusive shared server.
 
+    Each cache is an ``OrderedDict`` of its blocks, least recently used
+    first: a hit is a ``move_to_end``, an eviction a
+    ``popitem(last=False)``, and a demote at the cold end a
+    ``move_to_end(block, last=False)``. :meth:`access` and the span
+    kernel run the same operations on the same dicts.
+
     Args:
         capacities: ``[client_capacity, server_capacity]``.
         num_clients: number of clients.
@@ -162,8 +172,10 @@ class UnifiedLRUMultiScheme(MultiLevelScheme):
         check_positive("adaptive_window", adaptive_window)
         self.insertion = insertion
         self.adaptive_window = adaptive_window
-        self._clients = [LRUPolicy(capacities[0]) for _ in range(num_clients)]
-        self._server = LRUPolicy(capacities[1])
+        self._clients: List["OrderedDict[Block, None]"] = [
+            OrderedDict() for _ in range(num_clients)
+        ]
+        self._server: "OrderedDict[Block, None]" = OrderedDict()
         self.name = f"uniLRU-multi[{insertion}]"
         # Adaptive state: per client, demotes issued and demoted blocks
         # later re-read from the server within the current window.
@@ -171,12 +183,15 @@ class UnifiedLRUMultiScheme(MultiLevelScheme):
         self._window_demotes = [0] * num_clients
         self._window_reuses = [0] * num_clients
         self._window_left = adaptive_window
-        self._client_mode = [INSERT_MRU] * num_clients
+        # Each client's insertion mode: the fixed variants' own for
+        # good, the adaptive one's re-picked as each window closes.
+        self._client_mode = [
+            INSERT_MRU if insertion == INSERT_ADAPTIVE else insertion
+        ] * num_clients
 
-    def _roll_window(self) -> None:
-        self._window_left -= 1
-        if self._window_left > 0:
-            return
+    def _close_window(self) -> None:
+        """Re-pick each client's insertion mode from the window's
+        counts and open the next window."""
         for client in range(self.num_clients):
             demotes = self._window_demotes[client]
             reuses = self._window_reuses[client]
@@ -191,68 +206,159 @@ class UnifiedLRUMultiScheme(MultiLevelScheme):
             self._window_reuses[client] = 0
         self._window_left = self.adaptive_window
 
-    def _insert_mode(self, client: int) -> str:
-        if self.insertion == INSERT_ADAPTIVE:
-            return self._client_mode[client]
-        return self.insertion
-
-    def _demote_to_server(
-        self, client: int, victim: Block, demotions: List[Demotion],
-        evicted: List[Block],
-    ) -> None:
-        if victim in self._server:
-            # Another client demoted the same block earlier; refresh it.
-            self._server.remove(victim)
-        demotions.append(Demotion(victim, 1, 2))
-        self._window_demotes[client] += 1
-        self._demoted_by[victim] = client
-        if self._insert_mode(client) == INSERT_LRU:
-            dropped = self._server.insert_at_lru_end(victim)
-        else:
-            dropped = self._server.insert(victim)
-        demoted_by_pop = self._demoted_by.pop
-        for block in dropped:
-            demoted_by_pop(block, None)
-            evicted.append(block)
-
     def access(self, client: int, block: Block) -> AccessEvent:
         self._check_client(client)
         cache = self._clients[client]
-        demotions: List[Demotion] = []
-        evicted: List[Block] = []
-
+        server = self._server
+        demotions: Tuple[Demotion, ...] = ()
+        evicted: Tuple[Block, ...] = ()
         if block in cache:
-            cache.touch(block)
+            cache.move_to_end(block)
             hit_level: Optional[int] = 1
         else:
-            if block in self._server:
+            if block in server:
                 hit_level = 2
                 # Exclusive caching: the server copy moves to the client.
-                self._server.remove(block)
+                del server[block]
                 owner = self._demoted_by.pop(block, None)
                 if owner is not None:
                     self._window_reuses[owner] += 1
             else:
                 hit_level = None
-            overflow = cache.insert(block)
-            for victim in overflow:
-                self._demote_to_server(client, victim, demotions, evicted)
-
+            if len(cache) < self.capacities[0]:
+                cache[block] = None
+            else:
+                victim = cache.popitem(last=False)[0]
+                cache[block] = None
+                # The client's LRU block is demoted into the server.
+                if victim in server:
+                    # Another client demoted the same block earlier;
+                    # refresh it.
+                    del server[victim]
+                demotions = (Demotion(victim, 1, 2),)
+                self._window_demotes[client] += 1
+                self._demoted_by[victim] = client
+                if len(server) >= self.capacities[1]:
+                    dropped = server.popitem(last=False)[0]
+                    self._demoted_by.pop(dropped, None)
+                    evicted = (dropped,)
+                server[victim] = None
+                if self._client_mode[client] == INSERT_LRU:
+                    server.move_to_end(victim, last=False)
         if self.insertion == INSERT_ADAPTIVE:
-            self._roll_window()
+            self._window_left -= 1
+            if not self._window_left:
+                self._close_window()
         return AccessEvent(
             block=block,
             client=client,
             hit_level=hit_level,
             placed_level=1,
-            demotions=tuple(demotions),
-            evicted=tuple(evicted),
+            demotions=demotions,
+            evicted=evicted,
         )
 
+    # repro: hot
+    def access_span(
+        self,
+        clients: Optional[Sequence[int]],
+        blocks: Sequence[Block],
+        metrics: Optional["MetricsCollector"],
+    ) -> None:
+        """:meth:`access` fused over the span, with no event per
+        reference: the same dict operations in the same order, the
+        adaptive window rolled at the same reference, and the span's
+        hits, misses, demotions and server drops counted locally. The
+        tallies reach
+        :meth:`~repro.sim.metrics.MetricsCollector.record_counts` once,
+        in a ``finally``, so a reference that raises (a client the
+        scheme does not have) leaves scheme and collector where the
+        per-reference loop would.
+        """
+        caches = self._clients
+        server = self._server
+        client_capacity, server_capacity = self.capacities
+        demoted_by = self._demoted_by
+        window_demotes = self._window_demotes
+        window_reuses = self._window_reuses
+        modes = self._client_mode
+        adaptive = self.insertion == INSERT_ADAPTIVE
+        window_left = self._window_left
+        num_clients = self.num_clients
+        refs = [0] * num_clients
+        misses = [0] * num_clients
+        demotions = [0] * num_clients
+        server_hits = 0
+        evictions = 0
+        try:
+            for client, block in zip(
+                repeat(0) if clients is None else clients, blocks
+            ):
+                if not 0 <= client < num_clients:
+                    self._check_client(client)
+                cache = caches[client]
+                if block in cache:
+                    cache.move_to_end(block)
+                else:
+                    if block in server:
+                        del server[block]
+                        server_hits += 1
+                        owner = demoted_by.pop(block, None)
+                        if owner is not None:
+                            window_reuses[owner] += 1
+                    else:
+                        misses[client] += 1
+                    if len(cache) < client_capacity:
+                        cache[block] = None
+                    else:
+                        victim = cache.popitem(last=False)[0]
+                        cache[block] = None
+                        if victim in server:
+                            del server[victim]
+                        demotions[client] += 1
+                        window_demotes[client] += 1
+                        demoted_by[victim] = client
+                        if len(server) >= server_capacity:
+                            demoted_by.pop(server.popitem(last=False)[0], None)
+                            evictions += 1
+                        server[victim] = None
+                        if modes[client] == INSERT_LRU:
+                            server.move_to_end(victim, last=False)
+                refs[client] += 1
+                if adaptive:
+                    window_left -= 1
+                    if not window_left:
+                        self._close_window()
+                        window_left = self._window_left
+        finally:
+            if adaptive:
+                self._window_left = window_left
+            if metrics is not None:
+                served = sum(refs) - sum(misses)
+                metrics.record_counts(
+                    refs,
+                    misses,
+                    (served - server_hits, server_hits),
+                    demotions,
+                    (sum(demotions),),
+                    evictions,
+                )
+
     def check_invariants(self) -> None:
-        """Every cache's own checks plus demote-ownership bookkeeping."""
-        for cache in self._clients + [self._server]:
-            cache.check_invariants()
+        """No cache over its capacity, and every demote-owner tag on a
+        block the server holds."""
+        client_capacity, server_capacity = self.capacities
+        for client, cache in enumerate(self._clients):
+            if len(cache) > client_capacity:
+                raise ProtocolError(
+                    f"client {client} caches {len(cache)} blocks, over "
+                    f"its capacity {client_capacity}"
+                )
+        if len(self._server) > server_capacity:
+            raise ProtocolError(
+                f"server caches {len(self._server)} blocks, over its "
+                f"capacity {server_capacity}"
+            )
         for block in self._demoted_by:
             if block not in self._server:
                 raise ProtocolError(

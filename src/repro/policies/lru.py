@@ -1,8 +1,9 @@
 """Least Recently Used replacement, plus an MRU variant.
 
-LRU is the workhorse of the paper: the client policy in every scheme, the
-per-level policy of indLRU, and the server of the multi-client DEMOTE,
-eviction-based and cooperative schemes. The recency stack is one
+LRU is the workhorse of the paper: the client policy of the
+policy-composed schemes, the per-level policy of indLRU, and the server
+of the eviction-based and cooperative schemes (DEMOTE keeps the same
+orders as plain ``OrderedDict`` s of its own). The recency stack is one
 ``OrderedDict`` whose first key is the LRU (eviction) end: a hit is a
 ``move_to_end``, an eviction a ``popitem(last=False)``, each O(1).
 """
@@ -76,19 +77,6 @@ class LRUPolicy(ReplacementPolicy):
             move_to_end(block)
             count += 1
         return count
-
-    # -- extras used by the unified schemes --------------------------------
-
-    def insert_at_lru_end(self, block: Block) -> List[Block]:
-        """Insert ``block`` at the cold (eviction) end of the stack.
-
-        Wong & Wilkes' adaptive multi-client insertion places demoted
-        blocks of "cache-polluting" clients at the LRU end instead of the
-        MRU end; this hook supports that variant.
-        """
-        evicted = self.insert(block)
-        self._order.move_to_end(block, last=False)
-        return evicted
 
     def recency_order(self) -> List[Block]:
         """Snapshot of blocks from MRU to LRU (O(n); tests/analysis)."""

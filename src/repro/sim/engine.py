@@ -19,7 +19,8 @@ at the warm-up boundary. The inherited hook is the per-reference loop
 (``access``, then ``MetricsCollector.record`` per event); ULC's runs
 its engine's hit-run kernel over the span, serving each pure level-1
 hit with one stack touch and no event, and folding the hits into the
-metrics in bulk.
+metrics in bulk; indLRU's and DEMOTE's run every reference in a fused
+loop with no event and fold the span's tallies once.
 
 ``batch_size`` selects the *batched* drive loop: it probes the
 scheme's ``access_hit_run`` kernel over a window of up to

@@ -24,7 +24,7 @@ from repro.checks import run_checks
 from repro.checks.bounds import BOUNDS_RULES, run_bounds_checks
 from repro.checks.bounds.cost import Cost, combine, parse_bound, scale
 from repro.checks.bounds.infer import BoundsChecker, CostW
-from repro.checks.flow.baseline import write_baseline
+from repro.checks.baseline import write_baseline
 from repro.checks.flow.project import Project
 
 SRC_REPRO = Path(repro.__file__).resolve().parent

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.checks.flow.baseline import write_baseline
+from repro.checks.baseline import write_baseline
 from repro.checks import run_checks
 from repro.checks.kernel import KERNEL_RULES, run_kernel_checks
 

@@ -197,7 +197,6 @@ POLICY_SCHEMES = {
         [2, 4], 2, policies=["sieve", "lecar"]
     ),
     "mq": lambda: make_scheme("mq", [4, 8], 2),
-    "unilru-multi": lambda: UnifiedLRUMultiScheme([2, 4], 2),
     "eviction-based": lambda: EvictionBasedScheme([2, 4], 2),
     "agglru": lambda: AggregateLRUOracle([2, 4]),
     "aggopt": lambda: AggregateOPTOracle([2, 4], list(range(12)) * 2),
@@ -281,6 +280,25 @@ class TestUnifiedLRUMulti:
     def test_bad_insertion_rejected(self):
         with pytest.raises(ConfigurationError):
             UnifiedLRUMultiScheme([1, 1], insertion="sideways")
+
+    @pytest.mark.parametrize("plant, match", [
+        (lambda s: s._clients[1].update(dict.fromkeys(range(100, 103))),
+         "client 1 caches 5 blocks, over its capacity 2"),
+        (lambda s: s._server.update(dict.fromkeys(range(100, 103))),
+         "server caches 7 blocks, over its capacity 4"),
+        (lambda s: s._demoted_by.__setitem__(100, 0),
+         "demote-owner tag for 100 outlived"),
+    ], ids=["client-overfilled", "server-overfilled", "stale-owner-tag"])
+    def test_planted_violation_raises(self, plant, match):
+        """DEMOTE keeps its caches as plain dicts, so its own check
+        bounds every cache's occupancy and the demote-owner tags."""
+        scheme = UnifiedLRUMultiScheme([2, 4], 2)
+        for index in range(24):
+            scheme.access(index % 2, index % 12)
+        scheme.check_invariants()
+        plant(scheme)
+        with pytest.raises(ProtocolError, match=match):
+            scheme.check_invariants()
 
     @pytest.mark.parametrize("window", [0, -1, 1.5, True])
     def test_bad_adaptive_window_rejected(self, window):

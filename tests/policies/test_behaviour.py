@@ -52,22 +52,6 @@ class TestLRU:
         policy.access("b")
         assert policy.victim() == "a"
 
-    def test_insert_at_lru_end(self):
-        policy = LRUPolicy(3)
-        policy.access("a")
-        policy.insert_at_lru_end("cold")
-        assert policy.victim() is None  # not full yet
-        policy.access("b")
-        assert policy.victim() == "cold"
-
-    def test_insert_at_lru_end_when_full_evicts_tail(self):
-        policy = LRUPolicy(2)
-        policy.access("a")
-        policy.access("b")
-        evicted = policy.insert_at_lru_end("c")
-        assert evicted == ["a"]
-        assert policy.victim() == "c"
-
     def test_duplicate_insert_rejected(self):
         policy = LRUPolicy(2)
         policy.access("a")

@@ -1,30 +1,48 @@
-"""Differential test: ULC's span kernels against the per-reference loop.
+"""Differential test: the span kernels against the per-reference loop.
 
 ``ULCScheme`` and ``ULCMultiScheme`` override
 :meth:`MultiLevelScheme.access_span` with their engines' hit-run loops,
 which serve pure level-1 hits with one ``touch`` and fold them into the
-collector in bulk; ``UnifiedLRUScheme`` inherits ``ULCScheme``'s. The
-promise is that a drive through them leaves every collector counter
-(per-client lists included) and every piece of protocol state exactly
-where a replay of ``scheme.access`` plus ``collector.record``, one
-reference at a time, leaves them.
+collector in bulk; ``UnifiedLRUScheme`` inherits ``ULCScheme``'s.
+``IndependentScheme`` (and with it ``ClientLRUServerMQ``) and
+``UnifiedLRUMultiScheme`` (DEMOTE) override it with fused loops that
+run each reference's whole protocol without an event and fold the
+span's tallies once. The promise is that a drive through them leaves
+every collector counter (per-client lists included) and every piece of
+protocol state exactly where a replay of ``scheme.access`` plus
+``collector.record``, one reference at a time, leaves them.
 
 The traces are built to break that: hot sets no larger than level 1
 (long hit runs) mixed with scans, warm-up fractions and chunk sizes
 that cut through hit runs, tiny hierarchies with a tempLRU and a
 metadata bound, shared tiers under piggybacked, immediate and lost
-eviction notices, and references by a client the scheme does not have.
+eviction notices, every registered policy at every indLRU level,
+DEMOTE windows of one to five references that roll inside spans and
+across the warm-up split, and references by a client the scheme does
+not have.
 """
 
 from __future__ import annotations
 
+import random
+from collections import OrderedDict
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.multi import NOTIFY_IMMEDIATE, NOTIFY_PIGGYBACK
 from repro.errors import ConfigurationError
-from repro.hierarchy import ULCMultiScheme, ULCScheme, UnifiedLRUScheme
+from repro.hierarchy import (
+    ClientLRUServerMQ,
+    IndependentScheme,
+    ULCMultiScheme,
+    ULCScheme,
+    UnifiedLRUMultiScheme,
+    UnifiedLRUScheme,
+)
+from repro.policies import available_policies
 from repro.sim import Engine, MetricsCollector
 from repro.workloads import Trace
 
@@ -59,8 +77,37 @@ def stack_state(stack, num_levels):
     )
 
 
+def snapshot(value):
+    """A comparable deep copy of an object's state; ordered containers,
+    plain dicts included, keep their order."""
+    if isinstance(value, dict):
+        kind = "ordered" if isinstance(value, OrderedDict) else "dict"
+        return kind, [(key, snapshot(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [snapshot(item) for item in value]
+    if isinstance(value, set):
+        return sorted(value, key=repr)
+    if isinstance(value, random.Random):
+        return value.getstate()
+    if isinstance(value, np.random.Generator):
+        return value.bit_generator.state
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if hasattr(value, "__dict__"):
+        return type(value).__name__, snapshot(vars(value))
+    if hasattr(value, "__slots__"):
+        return type(value).__name__, [
+            snapshot(getattr(value, name)) for name in value.__slots__
+        ]
+    return value
+
+
 def state(scheme):
     """Everything the protocol keeps between references."""
+    if isinstance(scheme, (IndependentScheme, UnifiedLRUMultiScheme)):
+        # Every cache's order and policy state, DEMOTE's owner tags,
+        # window counters and client modes.
+        return snapshot(scheme)
     if isinstance(scheme, ULCScheme):
         engine = scheme.engine
         return stack_state(engine.stack, scheme.num_levels), list(engine._temp)
@@ -204,11 +251,89 @@ def test_ulc_multi_span_kernel_matches_per_reference_loop(
             batch_size)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    num_clients=st.integers(1, 3),
+    capacities=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    **drive_options,
+)
+def test_indlru_span_kernel_matches_per_reference_loop(
+    data, num_clients, capacities, warmup_fraction, chunk_size, batch_size,
+):
+    policies = data.draw(st.lists(
+        st.sampled_from(available_policies()),
+        min_size=len(capacities), max_size=len(capacities),
+    ))
+    blocks, clients = data.draw(traces(num_clients, capacities[0]))
+    compare(
+        lambda: IndependentScheme(capacities, num_clients, policies=policies),
+        blocks, clients, warmup_fraction, chunk_size, batch_size,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.data(),
+    num_clients=st.integers(1, 3),
+    client_capacity=st.integers(1, 3),
+    server_capacity=st.integers(1, 6),
+    num_queues=st.integers(1, 4),
+    life_time=st.integers(1, 8),
+    **drive_options,
+)
+def test_mq_span_kernel_matches_per_reference_loop(
+    data, num_clients, client_capacity, server_capacity, num_queues,
+    life_time, warmup_fraction, chunk_size, batch_size,
+):
+    blocks, clients = data.draw(traces(num_clients, client_capacity))
+
+    def make_scheme():
+        return ClientLRUServerMQ(
+            [client_capacity, server_capacity], num_clients,
+            num_queues=num_queues, life_time=life_time,
+        )
+
+    compare(make_scheme, blocks, clients, warmup_fraction, chunk_size,
+            batch_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    num_clients=st.integers(1, 3),
+    client_capacity=st.integers(1, 3),
+    server_capacity=st.integers(1, 4),
+    insertion=st.sampled_from(["mru", "lru", "adaptive"]),
+    adaptive_window=st.integers(1, 5),
+    **drive_options,
+)
+def test_demote_span_kernel_matches_per_reference_loop(
+    data, num_clients, client_capacity, server_capacity, insertion,
+    adaptive_window, warmup_fraction, chunk_size, batch_size,
+):
+    blocks, clients = data.draw(traces(num_clients, client_capacity))
+
+    def make_scheme():
+        return UnifiedLRUMultiScheme(
+            [client_capacity, server_capacity], num_clients,
+            insertion=insertion, adaptive_window=adaptive_window,
+        )
+
+    compare(make_scheme, blocks, clients, warmup_fraction, chunk_size,
+            batch_size)
+
+
 @pytest.mark.parametrize("make_scheme", [
     lambda: ULCScheme([2, 4]),
     lambda: UnifiedLRUScheme([2, 4]),
     lambda: ULCMultiScheme([2, 4], 2),
-], ids=["ulc", "unilru", "ulc-multi"])
+    lambda: IndependentScheme([2, 4], 2),
+    lambda: ClientLRUServerMQ([2, 4], 2),
+    lambda: UnifiedLRUMultiScheme(
+        [2, 4], 2, insertion="adaptive", adaptive_window=2
+    ),
+], ids=["ulc", "unilru", "ulc-multi", "indlru", "mq", "demote"])
 @pytest.mark.parametrize("batch_size", [None, 4])
 @pytest.mark.parametrize("bad_client", [5, -1])
 def test_out_of_range_client_mid_span(make_scheme, batch_size, bad_client):
