@@ -15,6 +15,7 @@ Pins the four fixes shipped together with the MRC engine:
 
 from __future__ import annotations
 
+import copy
 import typing
 
 import pytest
@@ -137,6 +138,41 @@ class TestClientIdValidation:
         metrics.record(AccessEvent(block=1, client=2, hit_level=None))
         assert metrics.per_client_refs == [0, 0, 1]
         assert metrics.per_client_misses == [0, 0, 1]
+
+    @pytest.mark.parametrize("tallies", [
+        {"refs": [1, 0, 0, 0]},
+        {"refs": [1], "misses": [0, 0, 0, 1]},
+        {"refs": [1], "level_hits": [1, 0, 0]},
+        {"refs": [1], "boundary_demotions": [1, 0, 0]},
+    ], ids=["refs", "misses", "level-hits", "boundary-demotions"])
+    def test_overlong_tallies_rejected_unchanged(self, tallies):
+        metrics = MetricsCollector(num_levels=2, num_clients=3)
+        metrics.record(AccessEvent(block=1, client=2, hit_level=None))
+        before = copy.deepcopy(vars(metrics))
+        with pytest.raises(ProtocolError, match="tallies"):
+            metrics.record_counts(**tallies)
+        assert vars(metrics) == before
+
+
+def test_record_counts_equals_one_record_per_event():
+    """The span kernels' bulk fold against the per-event path."""
+    events = [
+        AccessEvent(block=1, client=0, hit_level=1),
+        AccessEvent(block=2, client=1, hit_level=2,
+                    demotions=(Demotion(5, 1, 2),), evicted=(6,)),
+        AccessEvent(block=3, client=1, hit_level=None,
+                    demotions=(Demotion(7, 1, 2),)),
+        AccessEvent(block=4, client=2, hit_level=None),
+    ]
+    recorded = MetricsCollector(num_levels=2, num_clients=3)
+    for event in events:
+        recorded.record(event)
+    folded = MetricsCollector(num_levels=2, num_clients=3)
+    folded.record_counts(
+        refs=[1, 2, 1], misses=[0, 1, 1], level_hits=[1, 1],
+        demotions=[0, 2], boundary_demotions=[2], evictions=1,
+    )
+    assert vars(folded) == vars(recorded)
 
 
 class TestAnnotationsResolve:
