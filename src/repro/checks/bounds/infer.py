@@ -8,8 +8,9 @@ the :class:`repro.checks.bounds.cost.Cost` lattice:
   slot-space role resolution, with config-bounded iterations
   (``range(self.num_levels)``, the per-level list set) classified as
   constant;
-- calls compose interprocedurally through the ``--deep`` call graph's
-  resolution rules (virtual dispatch takes the worst implementation);
+- calls compose interprocedurally over the targets the ``--deep`` call
+  graph resolved for each call (virtual dispatch takes the worst
+  implementation);
   the whole table is solved as a monotone fixpoint, so loop-resident
   recursion escalates to the lattice top instead of diverging;
 - a function with a valid ``# repro: bound`` annotation is an accepted
@@ -46,7 +47,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.checks.bounds.cost import Bound, Cost, bounds_by_line, combine, scale
 from repro.checks.findings import Finding
-from repro.checks.flow.callgraph import _local_environment, _resolve_call
 from repro.checks.flow.project import (
     FunctionInfo,
     ModuleInfo,
@@ -245,7 +245,6 @@ class BoundsChecker:
         self._attached: Dict[str, Set[int]] = {}
         self._module_bounds: Dict[str, Dict[int, Bound]] = {}
         self._collect_annotations()
-        self._env_cache: Dict[str, tuple] = {}
         self._role_cache: Dict[str, Dict[str, object]] = {}
         self._accumulator_cache: Dict[str, Set[str]] = {}
         self._bounded_local_cache: Dict[str, Set[str]] = {}
@@ -300,13 +299,6 @@ class BoundsChecker:
         return None
 
     # -- environments ------------------------------------------------------
-
-    def _envs(self, func: FunctionInfo) -> tuple:
-        cached = self._env_cache.get(func.qualname)
-        if cached is None:
-            cached = _local_environment(self.project, func.module, func)
-            self._env_cache[func.qualname] = cached
-        return cached
 
     def _model_of(self, func: FunctionInfo) -> Optional[ClassModel]:
         if func.cls is None:
@@ -544,11 +536,7 @@ class BoundsChecker:
         return self.table.get(callee.qualname, _ZERO)
 
     def _call_cost(self, func: FunctionInfo, call: ast.Call) -> CostW:
-        class_env, alias_env, dispatch_env = self._envs(func)
-        targets = _resolve_call(
-            self.project, func.module, func, call,
-            class_env, alias_env, dispatch_env,
-        )
+        targets = self.graph.targets[call]
         if targets:
             worst = _ZERO
             worst_target: Optional[FunctionInfo] = None

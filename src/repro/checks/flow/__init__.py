@@ -18,8 +18,8 @@ The pipeline:
 The pass returns its raw findings. ``repro check``
 (:func:`repro.checks.engine.run_checks`) applies ``# repro: noqa
 FLOW00x`` comments and the committed baseline
-(:mod:`repro.checks.baseline`, re-exported here) to them,
-as it does to every pass, and renders them in every output format.
+(:mod:`repro.checks.baseline`) to them, as it does to every pass, and
+renders them in every output format.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.checks.findings import Finding
-from repro.checks.baseline import (
-    DEFAULT_BASELINE,
-    apply_baseline,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.checks.flow.cachekey import (
     DEFAULT_MANIFEST,
     schema_findings,
@@ -81,16 +74,11 @@ def run_flow_checks(
 
 __all__ = [
     "FLOW_RULES",
-    "apply_baseline",
     "build_call_graph",
-    "fingerprint",
-    "load_baseline",
     "run_flow_checks",
     "schema_findings",
     "taint_findings",
     "unsound_read_findings",
-    "write_baseline",
     "write_hash_schema",
-    "DEFAULT_BASELINE",
     "DEFAULT_MANIFEST",
 ]

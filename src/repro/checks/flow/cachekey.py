@@ -19,10 +19,11 @@ two rules prove the two halves statically:
   version bumps are how stale caches self-invalidate, so a silent
   schema drift defeats them.
 
-Spec-typed values are recognised statically: parameters annotated with
-a spec class, locals assigned from a spec constructor, and ``self``
-inside the class. Methods that *define* the hash or (de)serialise the
-spec are exempt from FLOW002 (they legitimately touch every field).
+Spec-typed values are recognised statically, from the call graph's
+class environments: parameters annotated with a spec class, locals
+assigned from a spec constructor, and ``self`` inside the class.
+Methods that *define* the hash or (de)serialise the spec are exempt
+from FLOW002 (they legitimately touch every field).
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.checks.findings import Finding
-from repro.checks.flow.project import (
-    ClassInfo,
-    FunctionInfo,
-    Project,
-    attribute_chain,
-    param_annotations,
-)
+from repro.checks.flow.project import ClassInfo, Project, attribute_chain
 
 #: Spec-class methods allowed to read any field: they define the hash
 #: payload or rebuild/normalise the instance.
@@ -88,27 +83,6 @@ def hashed_keys(cls: ClassInfo) -> Set[str]:
     return keys
 
 
-def _spec_env(
-    project: Project, func: FunctionInfo, spec_names: Set[str]
-) -> Dict[str, str]:
-    """Local/param name → spec class name, where statically known."""
-    env: Dict[str, str] = {}
-    for param, classes in param_annotations(func.node).items():
-        for name in classes:
-            if name in spec_names:
-                env[param] = name
-    if func.cls is not None and func.cls.name in spec_names:
-        env["self"] = func.cls.name
-    for node in func.walk():
-        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                and isinstance(node.targets[0], ast.Name) \
-                and isinstance(node.value, ast.Call) \
-                and isinstance(node.value.func, ast.Name) \
-                and node.value.func.id in spec_names:
-            env[node.targets[0].id] = node.value.func.id
-    return env
-
-
 def unsound_read_findings(project: Project) -> List[Finding]:
     """FLOW002: spec-field reads the content hash does not cover."""
     specs = {cls.name: cls for cls in spec_classes(project)}
@@ -116,12 +90,20 @@ def unsound_read_findings(project: Project) -> List[Finding]:
         return []
     hashed = {name: hashed_keys(cls) for name, cls in specs.items()}
     fields = {name: set(cls.fields) for name, cls in specs.items()}
+    class_envs = project.call_graph.class_envs
     findings: List[Finding] = []
     for func in project.functions.values():
         if func.cls is not None and func.cls.name in specs \
                 and func.name in HASH_DEFINING_METHODS:
             continue
-        env = _spec_env(project, func, set(specs))
+        # Local/param name → the spec class it holds (the last one an
+        # annotation names).
+        env = {
+            name: cls_name
+            for name, classes in class_envs[func.qualname].items()
+            for cls_name in classes
+            if cls_name in specs
+        }
         if not env:
             continue
         for node in func.walk():

@@ -24,6 +24,10 @@ project — except for names on the :data:`COMMON_METHOD_NAMES` blacklist
 (``get``, ``append``...), which would connect everything to everything.
 The result over-approximates real control flow (safe for taint
 reachability) without drowning it.
+
+The graph is the one owner of these facts: it keeps each call node's
+targets and each function's class environment, and the other passes
+(BND's call costs, FLOW002's spec-typed locals) read them there.
 """
 
 from __future__ import annotations
@@ -70,10 +74,17 @@ class CallSite:
 
 
 class CallGraph:
-    """Edges indexed by caller, with loop context per site."""
+    """Edges indexed by caller, with loop context per site, and the
+    facts they were resolved from, for every pass to read."""
 
     def __init__(self) -> None:
         self.edges: Dict[str, List[CallSite]] = {}
+        #: Each call node of a function body → the functions it may
+        #: call (the edges' callees, in order, duplicates kept).
+        self.targets: Dict[ast.Call, List[FunctionInfo]] = {}
+        #: Function qualname → local/param name → the bare class names
+        #: it may hold (annotations, ``v = ClassName(...)``, ``self``).
+        self.class_envs: Dict[str, Dict[str, List[str]]] = {}
 
     def add(self, site: CallSite) -> None:
         self.edges.setdefault(site.caller, []).append(site)
@@ -264,28 +275,26 @@ def build_call_graph(project: Project) -> CallGraph:
     """Resolve every call site of every function in the project."""
     graph = CallGraph()
     for func in project.functions.values():
-        mod = func.module
-        class_env, alias_env, dispatch_env = _local_environment(
-            project, mod, func
-        )
-        _walk_calls(
-            project, graph, mod, func, func.body(),
-            class_env, alias_env, dispatch_env,
-        )
+        _walk_calls(project, graph, func)
     return graph
 
 
-def _walk_calls(
-    project: Project,
-    graph: CallGraph,
-    mod: ModuleInfo,
-    func: FunctionInfo,
-    body: List[ast.stmt],
-    class_env: Dict[str, List[str]],
-    alias_env: Dict[str, List[FunctionInfo]],
-    dispatch_env: Dict[str, List[str]],
-) -> None:
-    for stmt in body:
+def _walk_calls(project: Project, graph: CallGraph, func: FunctionInfo) -> None:
+    """Add ``func``'s class environment, call targets and edges to
+    ``graph``, statement by statement in body order."""
+    envs = _local_environment(project, func.module, func)
+    graph.class_envs[func.qualname] = envs[0]
+
+    def resolve(call: ast.Call, in_loop: bool) -> None:
+        targets = graph.targets[call] = _resolve_call(
+            project, func.module, func, call, *envs
+        )
+        for target in targets:
+            graph.add(CallSite(
+                func.qualname, target.qualname, call.lineno, in_loop
+            ))
+
+    for stmt, nodes in _statement_runs(func):
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested function: implicit edge (defined here, presumably
             # invoked); its own body is walked as a separate function.
@@ -298,7 +307,6 @@ def _walk_calls(
                 ))
             continue
         loops_here = isinstance(stmt, LOOPS)
-        nodes = _shallow_walk(stmt)
         # Ids of the nodes inside a loop of this statement, built for
         # the first call the statement's own loop does not cover.
         looped: Optional[Set[int]] = None
@@ -309,40 +317,32 @@ def _walk_calls(
                     if looped is None:
                         looped = loop_nested_ids(nodes)
                     node_in_loop = id(node) in looped
-                for target in _resolve_call(
-                    project, mod, func, node,
-                    class_env, alias_env, dispatch_env,
-                ):
-                    graph.add(CallSite(
-                        func.qualname, target.qualname,
-                        node.lineno, node_in_loop,
-                    ))
+                resolve(node, node_in_loop)
             elif isinstance(node, ast.Lambda):
                 for child in ast.walk(node):
                     if isinstance(child, ast.Call):
-                        for target in _resolve_call(
-                            project, mod, func, child,
-                            class_env, alias_env, dispatch_env,
-                        ):
-                            graph.add(CallSite(
-                                func.qualname, target.qualname,
-                                child.lineno, True,
-                            ))
+                        resolve(child, True)
 
 
-def _shallow_walk(stmt: ast.stmt) -> List[ast.AST]:
-    """Every node under ``stmt`` except nested function/class bodies
-    (those are separate functions) and lambda bodies (yielded whole)."""
-    out: List[ast.AST] = []
-    stack: List[ast.AST] = [stmt]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ) and node is not stmt:
-            continue
-        if isinstance(node, ast.Lambda):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return out
+def _statement_runs(
+    func: FunctionInfo,
+) -> List[Tuple[ast.AST, Tuple[ast.AST, ...]]]:
+    """Each body statement of ``func`` (a lambda's body expression)
+    with its contiguous run of ``func.own_nodes()``, in body order.
+
+    ``own_nodes()`` pops a def's children last first: its statements'
+    runs lie in reverse body order, each starting at its statement, and
+    the run of the def's arguments follows them.
+    """
+    nodes = func.own_nodes()
+    if isinstance(func.node, ast.Lambda):
+        return [(func.node.body, nodes)]
+    body = func.body()
+    cuts = [0]
+    for first in [*reversed(body), func.node.args]:  # type: ignore[attr-defined]
+        cuts.append(nodes.index(first, cuts[-1]))
+    cuts.reverse()
+    return [
+        (stmt, nodes[start:end])
+        for stmt, end, start in zip(body, cuts, cuts[1:])
+    ]

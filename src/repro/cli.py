@@ -141,7 +141,7 @@ def _run_check(args: argparse.Namespace) -> int:
         print(f"hash-schema manifest written: {written}")
         return 0
     if args.update_baseline:
-        from repro.checks.flow import DEFAULT_BASELINE, write_baseline
+        from repro.checks.baseline import DEFAULT_BASELINE, write_baseline
 
         # Baseline the raw findings of every pass (one run against an
         # empty baseline) — every pass shares one file.

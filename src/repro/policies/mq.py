@@ -167,12 +167,17 @@ class MQPolicy(ReplacementPolicy):
         self._adjust()
 
     def insert(self, block: Block) -> List[Block]:
-        self._require_absent(block)
+        frequency = self._frequency
+        if block in frequency:
+            self._require_absent(block)
         self._time += 1
         evicted: List[Block] = []
-        if self.full:
-            victim = self.victim()
-            if victim is None:
+        if len(frequency) >= self.capacity:
+            for queue in self._queues:
+                if queue:
+                    victim = next(iter(queue))
+                    break
+            else:
                 raise ProtocolError("MQ full but no victim available")
             self._remember_ghost(victim, self._dequeue(victim))
             evicted.append(victim)

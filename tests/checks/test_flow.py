@@ -12,12 +12,8 @@ from pathlib import Path
 
 import repro
 from repro.checks import run_checks
-from repro.checks.flow import (
-    FLOW_RULES,
-    fingerprint,
-    write_baseline,
-    write_hash_schema,
-)
+from repro.checks.baseline import fingerprint, write_baseline
+from repro.checks.flow import FLOW_RULES, write_hash_schema
 from repro.checks.flow.cachekey import compute_hash_schema, schema_findings
 from repro.checks.flow.project import Project
 

@@ -253,6 +253,17 @@ class TestMQ:
         policy.access("a")
         assert policy.frequency_of("a") == 2
 
+    def test_insert_rejects_a_resident_block_and_a_missing_victim(self):
+        policy = MQPolicy(2, life_time=100)
+        policy.insert("a")
+        policy.insert("b")
+        with pytest.raises(ProtocolError, match="already resident"):
+            policy.insert("a")
+        for queue in policy._queues:
+            queue.clear()  # the counts say full, but no queue holds a block
+        with pytest.raises(ProtocolError, match="no victim"):
+            policy.insert("c")
+
     def test_mq_beats_lru_on_filtered_stream(self):
         """MQ's reason to exist: frequency matters more than recency in a
         second-level stream where recency was absorbed upstream."""
