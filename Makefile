@@ -57,12 +57,15 @@ mrc-approx:
 
 # The end-to-end benchmark's correctness checks (CI's perfbench-check
 # job): its own tests, one short run of each stream workload at seeds 1
-# and 2, then check-all untraced and traced. Every stream run checks
-# scalar = batched = in-memory drive; the seed-1 runs also check the
-# pinned result hashes (seed 2 has none). The untraced check-all run
-# fails on any finding beyond the committed baseline; the traced one
-# fails unless each whole-program pass entry point runs exactly once
-# and the findings equal the untraced run's. A failed check exits 1.
+# and 2, one traced run of each at seed 1, then check-all untraced and
+# traced. Every stream run checks scalar = batched = in-memory drive;
+# the seed-1 runs also check the pinned result hashes (seed 2 has
+# none). A traced stream run replays the direct core loop's events
+# against the span-kernel drive over the whole trace and fails if the
+# scalar drive calls a hit-run probe. The untraced check-all run fails
+# on any finding beyond the committed baseline; the traced one fails
+# unless each whole-program pass entry point runs exactly once and the
+# findings equal the untraced run's. A failed check exits 1.
 perfbench-check:
 	$(PYTHON) -m pytest -q perfbench/tests
 	$(PYTHON) perfbench/run.py --workload stream-single --seed 1 \
@@ -73,6 +76,10 @@ perfbench-check:
 		--seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload stream-multi --seed 2 \
 		--seconds 1 --trace 0
+	$(PYTHON) perfbench/run.py --workload stream-single --seed 1 \
+		--seconds 1 --trace 1
+	$(PYTHON) perfbench/run.py --workload stream-multi --seed 1 \
+		--seconds 1 --trace 1
 	$(PYTHON) perfbench/run.py --workload check-all --seconds 1 --trace 0
 	$(PYTHON) perfbench/run.py --workload check-all --seconds 1 --trace 1
 

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.checks.flow.project import (
-    LOOPS,
     ClassInfo,
     FunctionInfo,
     ModuleInfo,
@@ -306,18 +305,14 @@ def _walk_calls(project: Project, graph: CallGraph, func: FunctionInfo) -> None:
                     func.qualname, nested.qualname, stmt.lineno, False
                 ))
             continue
-        loops_here = isinstance(stmt, LOOPS)
-        # Ids of the nodes inside a loop of this statement, built for
-        # the first call the statement's own loop does not cover.
+        # Ids of the nodes this statement repeats, built at its first
+        # call.
         looped: Optional[Set[int]] = None
         for node in nodes:
             if isinstance(node, ast.Call):
-                node_in_loop = loops_here
-                if not node_in_loop:
-                    if looped is None:
-                        looped = loop_nested_ids(nodes)
-                    node_in_loop = id(node) in looped
-                resolve(node, node_in_loop)
+                if looped is None:
+                    looped = loop_nested_ids(nodes)
+                resolve(node, id(node) in looped)
             elif isinstance(node, ast.Lambda):
                 for child in ast.walk(node):
                     if isinstance(child, ast.Call):

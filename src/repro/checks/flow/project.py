@@ -47,14 +47,20 @@ LOOPS = (ast.For, ast.AsyncFor, ast.While)
 
 
 def loop_nested_ids(nodes: Iterable[ast.AST]) -> Set[int]:
-    """Ids of every node inside a loop among ``nodes``, the loops
-    included. ``nodes`` must yield each loop before anything inside it
-    (``ast.walk`` and :meth:`FunctionInfo.own_nodes` do), so one walk of
-    each outermost loop covers the loops nested in it."""
+    """Ids of every node among ``nodes`` that runs once per iteration
+    of a loop: a loop's target and body, a ``while`` loop's test, and
+    all of a loop nested in those. A ``for`` loop's iterable and a
+    loop's ``else`` clause run once per entry, so they count only when
+    the loop itself repeats. ``nodes`` must yield each loop before
+    anything inside it (``ast.walk`` and
+    :meth:`FunctionInfo.own_nodes` do), so a loop already in the set is
+    covered whole."""
     ids: Set[int] = set()
     for node in nodes:
         if isinstance(node, LOOPS) and id(node) not in ids:
-            ids.update(map(id, ast.walk(node)))
+            head = node.test if isinstance(node, ast.While) else node.target
+            for part in (head, *node.body):
+                ids.update(map(id, ast.walk(part)))
     return ids
 
 

@@ -63,11 +63,12 @@ from typing import (
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
 from repro.core.events import AccessEvent, Demotion
 from repro.core.protocol import check_templru
-from repro.core.stack import UniLRUStack
+from repro.core.stack import StackNode, UniLRUStack
 from repro.errors import ConfigurationError, ProtocolError
 from repro.policies.base import Block
 from repro.util.intlist import SENTINEL, IntLinkedList
@@ -595,11 +596,18 @@ class ULCMultiSystem:
         self._access_by_client = tuple(
             engine.access for engine in self.clients
         )
-        # (node index, stack touch) per client for the batched hit-run
-        # kernel — both are fixed for the system's lifetime.
+        # Per client, the stack, its node index and slot table (a
+        # linked slot always holds its node), and the link arrays of its
+        # global list and LRU_1, which the hit-run kernel splices
+        # inline; all are fixed for the system's lifetime (the slab
+        # grows the arrays in place).
         self._hit_run_handles = tuple(
-            (engine.stack._nodes, engine.stack.touch)
-            for engine in self.clients
+            (
+                stack, stack._nodes, cast(List[StackNode], stack._node_at),
+                stack._global.prev, stack._global.next,
+                stack._levels[0].prev, stack._levels[0].next,
+            )
+            for stack in (engine.stack for engine in self.clients)
         )
 
     def access(self, client: int, block: Block) -> AccessEvent:  # repro: hot
@@ -657,7 +665,12 @@ class ULCMultiSystem:
         ``stack.touch(node, 1)`` with no server effects, demotions or
         messages. This loop performs just that touch for such a
         reference, without building the event, and returns how many it
-        served.
+        served. The touch is spliced inline, as in
+        :meth:`repro.core.protocol.ULCClient.access_hit_run`: the node
+        moves to the front of its client's global list and ``LRU_1``
+        and takes the stack's next sequence number, and only a hit on
+        the stack's bottom block can uncover ``L_out`` entries to
+        prune.
 
         With no ``record`` the loop stops before the first reference
         needing the full protocol (the batched drive's probe). With
@@ -670,6 +683,7 @@ class ULCMultiSystem:
         handles = self._hit_run_handles
         num_clients = self._num_clients
         pending = self._owed
+        out = self.clients[0].stack.out_level
         access = self.access
         if hits is None:
             hits = [0] * num_clients
@@ -683,10 +697,33 @@ class ULCMultiSystem:
             blocks = memoryview(blocks)
         for client, block in zip(clients, blocks):
             if 0 <= client < num_clients and client not in pending:
-                nodes, touch = handles[client]
+                stack, nodes, node_at, gp, gn, lp, ln = handles[client]
                 node = nodes.get(block)
                 if node is not None and node.level == 1:
-                    touch(node, 1)
+                    slot = node.slot
+                    n = gn[slot]
+                    if gn[SENTINEL] != slot:
+                        p = gp[slot]
+                        gn[p] = n
+                        gp[n] = p
+                        first = gn[SENTINEL]
+                        gp[slot] = SENTINEL
+                        gn[slot] = first
+                        gp[first] = slot
+                        gn[SENTINEL] = slot
+                    if ln[SENTINEL] != slot:
+                        p, m = lp[slot], ln[slot]
+                        ln[p] = m
+                        lp[m] = p
+                        first = ln[SENTINEL]
+                        lp[slot] = SENTINEL
+                        ln[slot] = first
+                        lp[first] = slot
+                        ln[SENTINEL] = slot
+                    stack._seq += 1
+                    node.seq = stack._seq
+                    if n == SENTINEL and node_at[gp[SENTINEL]].level == out:
+                        stack.prune()
                     hits[client] += 1
                     continue
             if record is None:

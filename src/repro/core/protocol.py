@@ -31,9 +31,10 @@ from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.events import AccessEvent, Demotion
-from repro.core.stack import UniLRUStack
+from repro.core.stack import StackNode, UniLRUStack
 from repro.errors import ProtocolError
 from repro.policies.base import Block
+from repro.util.intlist import SENTINEL
 from repro.util.validation import check_int, check_non_negative
 
 
@@ -185,7 +186,14 @@ class ULCClient:
         ``placed_level=1`` and no demotions, evictions, temp activity or
         messages. This loop performs just that touch for such a
         reference, without building the event, and returns how many
-        it served.
+        it served. The touch is spliced inline on the stack's slab
+        arrays (the kernel contract of :mod:`repro.util.intlist`): the
+        node moves to the front of the global list and of ``LRU_1`` and
+        takes the next sequence number. A node found in the stack's
+        index has a live slot, so ``touch``'s lost-slot guard cannot
+        fire here; and since the stack bottom is a cached block before
+        every reference, only a hit on the bottom block can uncover
+        ``L_out`` entries to prune.
 
         With no ``record`` the loop stops before the first reference
         that needs the full protocol (the batched drive's probe). With
@@ -197,7 +205,11 @@ class ULCClient:
         """
         stack = self.stack
         nodes = stack._nodes
-        touch = stack.touch
+        # A linked slot always holds its node.
+        node_at: List[StackNode] = stack._node_at  # type: ignore[assignment]
+        gp, gn = stack._global.prev, stack._global.next
+        lp, ln = stack._levels[0].prev, stack._levels[0].next
+        out = stack.out_level
         access = self.access
         count = 0
         if hasattr(blocks, "tolist"):
@@ -209,7 +221,30 @@ class ULCClient:
             for block in blocks:
                 node = nodes.get(block)
                 if node is not None and node.level == 1:
-                    touch(node, 1)
+                    slot = node.slot
+                    n = gn[slot]
+                    if gn[SENTINEL] != slot:
+                        p = gp[slot]
+                        gn[p] = n
+                        gp[n] = p
+                        first = gn[SENTINEL]
+                        gp[slot] = SENTINEL
+                        gn[slot] = first
+                        gp[first] = slot
+                        gn[SENTINEL] = slot
+                    if ln[SENTINEL] != slot:
+                        p, m = lp[slot], ln[slot]
+                        ln[p] = m
+                        lp[m] = p
+                        first = ln[SENTINEL]
+                        lp[slot] = SENTINEL
+                        ln[slot] = first
+                        lp[first] = slot
+                        ln[SENTINEL] = slot
+                    stack._seq += 1
+                    node.seq = stack._seq
+                    if n == SENTINEL and node_at[gp[SENTINEL]].level == out:
+                        stack.prune()
                     count += 1
                 elif record is None:
                     break

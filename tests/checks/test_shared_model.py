@@ -324,6 +324,75 @@ class TestCallGraphEdges:
         assert [call.lineno for call in graph.targets] == [10]
 
 
+class TestLoopFlags:
+    """An edge is ``in_loop`` when its call runs once per iteration: in
+    a loop's body or a ``while`` loop's test. A ``for`` loop's iterable
+    and a loop's ``else`` clause run once, unless the loop itself sits
+    in another loop's body."""
+
+    @staticmethod
+    def flags(graph: CallGraph, caller: str) -> dict:
+        return {
+            (site.callee.rsplit(".", 1)[-1], site.lineno): site.in_loop
+            for site in graph.successors(caller)
+        }
+
+    def test_drive_stream_chunks_once_and_spans_per_chunk(self):
+        graph = Project([SRC_REPRO]).call_graph
+        flags = {
+            callee: in_loop for (callee, _), in_loop in self.flags(
+                graph, "repro.sim.engine._drive_stream"
+            ).items()
+        }
+        assert flags["iter_chunks"] is False
+        assert flags["_span_scalar"] is True
+        assert flags["_span_batched"] is True
+
+    def test_iterable_of_a_nested_loop_repeats(self, tmp_path):
+        root = test_bounds.write_pkg(tmp_path, {"mod.py": """
+            def rows():
+                return [[1]]
+
+            def cells(row):
+                return row
+
+            def done():
+                return 0
+
+            def walk():
+                for row in rows():
+                    for cell in cells(row):
+                        pass
+                else:
+                    done()
+        """})
+        graph = Project([root]).call_graph
+        assert self.flags(graph, "pkg.mod.walk") == {
+            ("rows", 12): False,
+            ("cells", 13): True,
+            ("done", 16): False,
+        }
+
+    def test_while_test_repeats(self, tmp_path):
+        root = test_bounds.write_pkg(tmp_path, {"mod.py": """
+            def more():
+                return False
+
+            def start():
+                return 0
+
+            def spin():
+                start()
+                while more():
+                    pass
+        """})
+        graph = Project([root]).call_graph
+        assert self.flags(graph, "pkg.mod.spin") == {
+            ("start", 9): False,
+            ("more", 10): True,
+        }
+
+
 @pytest.mark.parametrize("run", PASS_ENTRY_POINTS,
                          ids=lambda run: run.__name__)
 def test_pass_entry_points_reject_unparsable_file(tmp_path, run):

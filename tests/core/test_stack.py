@@ -283,3 +283,38 @@ class TestInvariants:
         stack.insert_new("b", 1)
         with pytest.raises(ProtocolError):
             stack.check_invariants()
+
+
+class TestSpliceGuards:
+    """The inline splices of ``touch``, ``demote_tail``, DemotionSearching
+    and ``prune`` keep the guards a caller or a corrupt stack can trip."""
+
+    def test_touch_of_a_forgotten_node_rejected(self):
+        stack = make_stack()
+        node = stack.insert_new("a", 1)
+        stack.forget(node)
+        with pytest.raises(ProtocolError, match="lost its global-list node"):
+            stack.touch(node, 1)
+
+    def test_demotion_search_rejects_a_linked_slot(self):
+        stack = make_stack((1, 2))
+        node = stack.insert_new("a", 2)
+        with pytest.raises(ProtocolError, match="already linked"):
+            stack._insert_sorted(node, 2)
+
+    def test_demotion_search_rejects_an_unlinked_anchor(self):
+        stack = make_stack((1, 2))
+        anchor = stack.insert_new("b", 2)
+        stack.insert_new("a", 1)
+        # Corrupt state: b keeps level status 2 outside LRU_2.
+        stack._levels[1].remove(anchor.slot)
+        with pytest.raises(ProtocolError, match="not linked in this list"):
+            stack.demote_tail(1)
+
+    def test_prune_frees_no_slot_still_in_a_level_list(self):
+        stack = make_stack((1, 1))
+        node = stack.insert_new("a", 1)
+        # Corrupt state: an L_out status on a block still in LRU_1.
+        node.level = stack.out_level
+        with pytest.raises(ProtocolError, match="still linked"):
+            stack.prune()

@@ -69,11 +69,16 @@ def counters(collector):
 
 
 def stack_state(stack, num_levels):
-    """Global recency order with each entry's level, and each level's
-    own order."""
+    """Global recency order with each entry's level and sequence
+    number, each level's own order, and the stack's last sequence
+    number."""
     return (
-        [(block, stack.lookup(block).level) for block in stack.stack_blocks()],
+        [
+            (block, stack.lookup(block).level, stack.lookup(block).seq)
+            for block in stack.stack_blocks()
+        ],
         [stack.level_blocks(level) for level in range(1, num_levels + 1)],
+        stack._seq,
     )
 
 
@@ -139,6 +144,7 @@ def compare(make_scheme, blocks, clients, warmup_fraction, chunk_size,
     replay(scalar, blocks, clients, warmup_fraction, replayed)
     assert counters(driven) == counters(replayed)
     assert state(kernel) == state(scalar)
+    return kernel, scalar
 
 
 @st.composite
@@ -361,3 +367,35 @@ def test_out_of_range_client_mid_span(make_scheme, batch_size, bad_client):
     assert counters(driven) == counters(replayed)
     assert driven.references == 9 and driven.level_hits[0] == 6
     assert state(kernel) == state(scalar)
+
+
+def stacks(scheme):
+    """The uniLRUstack of each of a ULC scheme's engines."""
+    if isinstance(scheme, ULCScheme):
+        return [scheme.engine.stack]
+    return [engine.stack for engine in scheme.system.clients]
+
+
+@pytest.mark.parametrize("make_scheme", [
+    lambda: ULCScheme([2, 1]),
+    lambda: ULCMultiScheme([2, 1], 1),
+], ids=["ulc", "ulc-multi"])
+@pytest.mark.parametrize("batch_size", [None, 4])
+def test_level_one_hit_on_the_stack_bottom_prunes(make_scheme, batch_size):
+    """After references 1 2 3 4 3 1 2 the last one is a level-1 hit on
+    block 2 at the global bottom, just below the L_out block 4: moving
+    block 2 to the top uncovers block 4, which the hit must prune, in
+    the span kernel as in ``access``."""
+    blocks = [1, 2, 3, 4, 3, 1, 2]
+    before = make_scheme()
+    replay(before, blocks[:-1], [0] * 6, 0.0,
+           MetricsCollector(before.num_levels, before.num_clients))
+    (stack,) = stacks(before)
+    assert stack.stack_blocks()[-2:] == [4, 2]
+    assert stack.lookup(4).level == stack.out_level
+    assert stack.lookup(2).level == 1
+    for scheme in compare(make_scheme, blocks, [0] * len(blocks), 0.0,
+                          len(blocks), batch_size):
+        (stack,) = stacks(scheme)
+        assert 4 not in stack
+        assert stack.stack_blocks() == [2, 1, 3]
