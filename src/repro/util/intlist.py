@@ -26,9 +26,10 @@ Kernel contract
 ---------------
 
 ``prev`` and ``next`` are deliberately **public**: the hot loops in
-:mod:`repro.core.stack` and :mod:`repro.core.multi` splice slots inline
-instead of paying a method call per link update. Code doing so must
-preserve the invariants checked by :meth:`IntLinkedList.check_invariants`:
+:mod:`repro.core.stack`, :mod:`repro.core.protocol` and
+:mod:`repro.core.multi` splice slots inline instead of paying a method
+call per link update. Code doing so must preserve the invariants
+checked by :meth:`IntLinkedList.check_invariants`:
 
 - slot ``0`` is the list's circular sentinel (``SENTINEL``); it is never
   allocated by the slab;
@@ -241,12 +242,6 @@ class IntLinkedList:
         """Insert ``slot`` at the head. Returns the slot."""
         self._check_free(slot)
         self._link(slot, SENTINEL, self.next[SENTINEL])
-        return slot
-
-    def push_back(self, slot: int) -> int:
-        """Insert ``slot`` at the tail. Returns the slot."""
-        self._check_free(slot)
-        self._link(slot, self.prev[SENTINEL], SENTINEL)
         return slot
 
     def insert_before(self, slot: int, anchor: int) -> int:

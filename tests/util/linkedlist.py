@@ -109,12 +109,6 @@ class DoublyLinkedList(Generic[T]):
         self._link(node, self._sentinel, self._sentinel.next)  # type: ignore[arg-type]
         return node
 
-    def push_back(self, node: ListNode[T]) -> ListNode[T]:
-        """Insert ``node`` at the tail. Returns the node."""
-        self._check_free(node)
-        self._link(node, self._sentinel.prev, self._sentinel)  # type: ignore[arg-type]
-        return node
-
     def insert_before(self, node: ListNode[T], anchor: ListNode[T]) -> ListNode[T]:
         """Insert ``node`` immediately before ``anchor`` (towards the head)."""
         self._check_free(node)

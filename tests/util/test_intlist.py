@@ -22,7 +22,6 @@ OPS = (
     "alloc",
     "free",
     "push_front",
-    "push_back",
     "insert_before",
     "insert_after",
     "remove",
@@ -102,15 +101,15 @@ class Lockstep:
                 return
             self.slab.free(slot)
             del self.nodes[slot]
-        elif name in ("push_front", "push_back"):
+        elif name == "push_front":
             if lst.prev[slot] != UNLINKED:
                 with pytest.raises(ProtocolError):
-                    getattr(lst, name)(slot)
+                    lst.push_front(slot)
                 with pytest.raises(ProtocolError):
-                    getattr(mirror, name)(node)
+                    mirror.push_front(node)
                 return
-            getattr(lst, name)(slot)
-            getattr(mirror, name)(node)
+            lst.push_front(slot)
+            mirror.push_front(node)
         elif name in ("insert_before", "insert_after"):
             anchor = self.pick_slot(b)
             if anchor is None:
@@ -170,8 +169,9 @@ def test_shared_slab_lists_are_independent():
     first, second = IntLinkedList(slab), IntLinkedList(slab)
     slots = [slab.alloc() for _ in range(4)]
     for slot in slots:
-        first.push_back(slot)
         second.push_front(slot)
+    for slot in reversed(slots):
+        first.push_front(slot)
     assert list(first) == slots
     assert list(second) == slots[::-1]
     first.remove(slots[2])
@@ -190,7 +190,9 @@ def test_shared_slab_lists_are_independent():
 def test_iteration_tolerates_removing_current():
     slab = IntSlab()
     lst = IntLinkedList(slab)
-    slots = [lst.push_back(slab.alloc()) for _ in range(8)]
+    slots = [slab.alloc() for _ in range(8)]
+    for slot in reversed(slots):
+        lst.push_front(slot)
     seen = []
     for slot in lst:
         seen.append(slot)

@@ -12,8 +12,8 @@ from tests.util.linkedlist import DoublyLinkedList, ListNode
 
 def make_list(values):
     lst = DoublyLinkedList()
-    nodes = [lst.push_back(ListNode(v)) for v in values]
-    return lst, nodes
+    nodes = [lst.push_front(ListNode(v)) for v in reversed(values)]
+    return lst, nodes[::-1]
 
 
 class TestBasics:
@@ -30,12 +30,6 @@ class TestBasics:
         for v in [1, 2, 3]:
             lst.push_front(ListNode(v))
         assert list(lst.values()) == [3, 2, 1]
-
-    def test_push_back_orders_fifo(self):
-        lst, _ = make_list([1, 2, 3])
-        assert list(lst.values()) == [1, 2, 3]
-        assert lst.head.value == 1
-        assert lst.tail.value == 3
 
     def test_remove_middle(self):
         lst, nodes = make_list([1, 2, 3])
@@ -63,7 +57,7 @@ class TestBasics:
         lst, nodes = make_list([1])
         other = DoublyLinkedList()
         with pytest.raises(ProtocolError):
-            other.push_back(nodes[0])
+            other.push_front(nodes[0])
 
     def test_remove_foreign_node_rejected(self):
         lst, nodes = make_list([1])
@@ -84,7 +78,7 @@ class TestBasics:
 @settings(max_examples=150, deadline=None)
 @given(
     ops=st.lists(
-        st.sampled_from(["push_front", "push_back", "pop_back"]), max_size=80
+        st.sampled_from(["push_front", "pop_back"]), max_size=80
     )
 )
 def test_matches_python_list_model(ops):
@@ -96,10 +90,6 @@ def test_matches_python_list_model(ops):
         if op == "push_front":
             node = lst.push_front(ListNode(counter))
             model.insert(0, node)
-            counter += 1
-        elif op == "push_back":
-            node = lst.push_back(ListNode(counter))
-            model.append(node)
             counter += 1
         elif op == "pop_back" and model:
             assert lst.pop_back() is model.pop()
