@@ -444,6 +444,21 @@ class TestAllocationsBND003:
         assert rules_of(findings) == ["BND003"]
         assert "scheme.stats.hits" in findings[0].message
 
+    def test_attribute_chase_in_loop_iterable(self, tmp_path):
+        findings = bounds(tmp_path, {"fast.py": """\
+            # repro: hot
+            def drive(scheme):
+                total = 0
+                for block in scheme.stats.blocks:
+                    for ref in scheme.stats.refs:
+                        total += ref
+                return total
+        """}, select=["BND003"])
+        # The outer loop's iterable is read once per call, the inner
+        # loop's once per outer iteration.
+        assert [(f.rule, f.line) for f in findings] == [("BND003", 5)]
+        assert "scheme.stats.refs" in findings[0].message
+
     def test_tuple_and_displays_are_exempt(self, tmp_path):
         findings = bounds(tmp_path, {"fast.py": """\
             # repro: hot
